@@ -659,7 +659,11 @@ func (r *Runtime) InstallBinary(path string, m *Module) error {
 }
 
 // SyscallStats reports accumulated syscall handler time and count for a
-// process (Fig. 7 attribution). WALI-backed hosts only.
+// process (Fig. 7 attribution). WALI-backed hosts only. The count is
+// always exact. The time covers only the calls made while something was
+// consuming syscall durations — WithSyscallHook, WithMetrics, an enabled
+// tracer or WithStrace — because the dispatch path reads no clock
+// otherwise; on a runtime built with none of them it stays zero.
 func (r *Runtime) SyscallStats(pid int32) (time.Duration, uint64) {
 	if r.wali == nil {
 		return 0, 0

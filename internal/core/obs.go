@@ -7,13 +7,10 @@ import (
 	"gowali/internal/obs"
 )
 
-// Observability plumbing for the syscall dispatch path. Both dispatch
-// sites (the host-function closure in registry.go and Process.Syscall)
-// funnel through these helpers so the tracer, the metrics registry and
-// the strace writer see identical streams. The disabled fast path is
-// the contract that matters: with no tracer/registry/strace attached,
-// straceEntry is one nil check and observeSyscall is two nil/atomic
-// checks — serving numbers must not move.
+// Observability plumbing for the syscall dispatch path. These helpers
+// run only from dispatchTimed (registry.go), i.e. only while some
+// consumer is armed; each still checks its own instrument, because being
+// armed for one sink says nothing about the others.
 
 // observeSyscall records one completed syscall into the tracer and the
 // per-syscall latency histogram.

@@ -23,22 +23,16 @@ func dispatchWall(t *testing.T, w *WALI, c *interp.Compiled, calls int) time.Dur
 	return time.Since(start)
 }
 
-// median runs f `runs` times and returns the middle sample.
-func median(runs int, f func() time.Duration) time.Duration {
-	samples := make([]time.Duration, runs)
-	for i := range samples {
-		samples[i] = f()
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[runs/2]
-}
-
 // BenchmarkSyscallDispatchObs prices the dispatch path per obs mode:
 // bare engine, plane attached but disabled, metrics recording, tracer
 // recording, and everything at once — the EXPERIMENTS.md overhead
-// table.
+// table. ns/syscall is one iteration of a counted getpid loop (loop
+// bookkeeping, call, dispatch, handler, drop) with the Spawn amortised
+// over 20000 calls. bare and attached-disabled take the disarmed path
+// (~45-55 ns, no clock read, 0 allocations per call); the other three pay
+// two clock reads plus their sinks (~200-350 ns).
 func BenchmarkSyscallDispatchObs(b *testing.B) {
-	const calls = 2000
+	const calls = 20000
 	c := func() *interp.Compiled {
 		t := &testing.T{}
 		return statApp(t, calls)
@@ -92,7 +86,7 @@ func BenchmarkSyscallDispatchObs(b *testing.B) {
 // TestObsDisabledDispatchOverhead enforces the overhead contract: an
 // attached-but-disabled obs plane (tracer present but not armed, no
 // metrics registry) must cost the syscall dispatch path no more than a
-// few predictable branches. The guard compares median wall time of a
+// few predictable branches. The guard compares the wall time of a
 // getpid-storm guest with and without the plane attached and fails if
 // the instrumented-disabled path exceeds the bare path by >25% — far
 // above what a couple of atomic loads can cost, so it only trips if
@@ -102,7 +96,9 @@ func TestObsDisabledDispatchOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard")
 	}
-	const calls, runs = 4000, 5
+	// The disarmed path is tens of nanoseconds per call, so one run is
+	// short enough for a scheduling blip to decide it.
+	const calls, runs = 16000, 21
 	c := statApp(t, calls)
 
 	// Warm both engines once (module instantiation, map growth).
@@ -112,12 +108,20 @@ func TestObsDisabledDispatchOverhead(t *testing.T) {
 	dispatchWall(t, bare, c, calls)
 	dispatchWall(t, instr, c, calls)
 
-	base := median(runs, func() time.Duration { return dispatchWall(t, bare, c, calls) })
-	withObs := median(runs, func() time.Duration { return dispatchWall(t, instr, c, calls) })
-
-	ratio := float64(withObs) / float64(base)
-	t.Logf("dispatch median: bare=%v obs-disabled=%v ratio=%.3f", base, withObs, ratio)
+	// Each sample is the ratio of two back-to-back runs, which share
+	// whatever the box was doing at that moment; the median of those
+	// ratios shrugs off the spells that hit only one of a pair.
+	ratios := make([]float64, runs)
+	var base, withObs time.Duration
+	for i := range ratios {
+		base = dispatchWall(t, bare, c, calls)
+		withObs = dispatchWall(t, instr, c, calls)
+		ratios[i] = float64(withObs) / float64(base)
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[runs/2]
+	t.Logf("dispatch ratio obs-disabled/bare: median of %d pairs %.3f (last pair %v / %v)", runs, ratio, withObs, base)
 	if ratio > 1.25 {
-		t.Fatalf("disabled obs plane slows syscall dispatch %.2fx (bare %v, attached %v); the disabled fast path must stay a few atomic loads", ratio, base, withObs)
+		t.Fatalf("disabled obs plane slows syscall dispatch %.2fx; the disabled fast path must stay a few atomic loads", ratio)
 	}
 }

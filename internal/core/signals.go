@@ -149,7 +149,7 @@ func (p *Process) DeliverPending(e *interp.Exec) {
 
 // sysRtSigaction implements wali rt_sigaction: dual registration into the
 // virtual sigtable and the kernel disposition table (Fig. 5 step 1).
-func sysRtSigaction(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigaction(p *Process, e *interp.Exec, args Args) int64 {
 	sig := int32(args[0])
 	actAddr := uint32(args[1])
 	oldAddr := uint32(args[2])
@@ -215,7 +215,7 @@ func sysRtSigaction(p *Process, e *interp.Exec, args []int64) int64 {
 // sysRtSigprocmask implements rt_sigprocmask with the post-unblock
 // safepoint the paper calls out: outstanding signals unblocked by this
 // call are delivered before returning to the Wasm critical section.
-func sysRtSigprocmask(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigprocmask(p *Process, e *interp.Exec, args Args) int64 {
 	how := int32(args[0])
 	setAddr := uint32(args[1])
 	oldAddr := uint32(args[2])
@@ -246,7 +246,7 @@ func sysRtSigprocmask(p *Process, e *interp.Exec, args []int64) int64 {
 	return 0
 }
 
-func sysRtSigpending(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigpending(p *Process, e *interp.Exec, args Args) int64 {
 	addr := uint32(args[0])
 	if !p.Inst.Mem.WriteU64(addr, p.KP.PendingSet()) {
 		return errnoRet(linux.EFAULT)
@@ -254,7 +254,7 @@ func sysRtSigpending(p *Process, e *interp.Exec, args []int64) int64 {
 	return 0
 }
 
-func sysRtSigsuspend(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigsuspend(p *Process, e *interp.Exec, args Args) int64 {
 	addr := uint32(args[0])
 	mask, ok := p.Inst.Mem.ReadU64(addr)
 	if !ok {
@@ -265,7 +265,7 @@ func sysRtSigsuspend(p *Process, e *interp.Exec, args []int64) int64 {
 	return errnoRet(errno)
 }
 
-func sysRtSigtimedwait(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigtimedwait(p *Process, e *interp.Exec, args Args) int64 {
 	setAddr := uint32(args[0])
 	infoAddr := uint32(args[1])
 	tsAddr := uint32(args[2])
@@ -299,23 +299,23 @@ func sysRtSigtimedwait(p *Process, e *interp.Exec, args []int64) int64 {
 // sysRtSigreturn traps: the signal trampoline is fully managed by the
 // engine, so direct invocation is a sigreturn-oriented-programming gadget
 // and is prohibited (§3.6 pitfall 4).
-func sysRtSigreturn(p *Process, e *interp.Exec, args []int64) int64 {
+func sysRtSigreturn(p *Process, e *interp.Exec, args Args) int64 {
 	interp.Throw(interp.TrapHost, "wali: rt_sigreturn is engine-managed and cannot be invoked directly")
 	return 0
 }
 
-func sysSigaltstack(p *Process, e *interp.Exec, args []int64) int64 {
+func sysSigaltstack(p *Process, e *interp.Exec, args Args) int64 {
 	// The Wasm execution stack is engine-managed; accept and ignore.
 	return 0
 }
 
-func sysPause(p *Process, e *interp.Exec, args []int64) int64 {
+func sysPause(p *Process, e *interp.Exec, args Args) int64 {
 	errno := p.KP.Pause()
 	p.DeliverPending(e)
 	return errnoRet(errno)
 }
 
-func sysKill(p *Process, e *interp.Exec, args []int64) int64 {
+func sysKill(p *Process, e *interp.Exec, args Args) int64 {
 	errno := p.KP.Kill(int32(args[0]), int32(args[1]))
 	// A self-directed signal should act promptly, not at the next loop
 	// head: poll here.
@@ -325,11 +325,11 @@ func sysKill(p *Process, e *interp.Exec, args []int64) int64 {
 	return errnoRet(errno)
 }
 
-func sysTkill(p *Process, e *interp.Exec, args []int64) int64 {
+func sysTkill(p *Process, e *interp.Exec, args Args) int64 {
 	return errnoRet(p.KP.Tgkill(-1, int32(args[0]), int32(args[1])))
 }
 
-func sysTgkill(p *Process, e *interp.Exec, args []int64) int64 {
+func sysTgkill(p *Process, e *interp.Exec, args Args) int64 {
 	errno := p.KP.Tgkill(int32(args[0]), int32(args[1]), int32(args[2]))
 	if p.KP.HasDeliverableSignal() {
 		p.DeliverPending(e)
@@ -337,11 +337,11 @@ func sysTgkill(p *Process, e *interp.Exec, args []int64) int64 {
 	return errnoRet(errno)
 }
 
-func sysAlarm(p *Process, e *interp.Exec, args []int64) int64 {
+func sysAlarm(p *Process, e *interp.Exec, args Args) int64 {
 	return int64(p.KP.Alarm(uint32(args[0])))
 }
 
-func sysSetitimer(p *Process, e *interp.Exec, args []int64) int64 {
+func sysSetitimer(p *Process, e *interp.Exec, args Args) int64 {
 	// ITIMER_REAL via the alarm machinery; value struct: two timevals
 	// (interval, value), we honor the value seconds.
 	which := int32(args[0])
@@ -361,7 +361,7 @@ func sysSetitimer(p *Process, e *interp.Exec, args []int64) int64 {
 	return 0
 }
 
-func sysGetitimer(p *Process, e *interp.Exec, args []int64) int64 {
+func sysGetitimer(p *Process, e *interp.Exec, args Args) int64 {
 	addr := uint32(args[1])
 	buf, ok := p.Inst.Mem.Bytes(addr, 32)
 	if !ok {

@@ -20,6 +20,9 @@ type syscallCounters struct {
 	_      [48]byte // keep neighboring processes' counters off this line
 }
 
+// add records one timed syscall. The disarmed dispatch path bumps n alone
+// (see Process.dispatch): the count is always exact, handler time
+// accumulates only over calls made while a consumer was armed.
 func (c *syscallCounters) add(d time.Duration) {
 	c.timeNs.Add(int64(d))
 	c.n.Add(1)
@@ -72,6 +75,10 @@ func (w *WALI) finishProcess(p *Process) {
 // SyscallStats reports accumulated handler time and count for pid
 // (Fig. 7's wali+kernel attribution): live processes read their own
 // counters; recently exited ones come from the bounded retired window.
+// The count is always exact. Handler time is measured only for calls made
+// while a consumer was armed (see armed) — dispatch reads no clock
+// otherwise — so a caller that wants the time subscribes a hook first, as
+// trace.Collector does.
 func (w *WALI) SyscallStats(pid int32) (time.Duration, uint64) {
 	w.mu.Lock()
 	p := w.procs[pid]
@@ -122,6 +129,16 @@ func (w *WALI) AddHook(fn func(ev SyscallEvent)) {
 	}
 	next = append(next, fn)
 	w.hooks.Store(&next)
+}
+
+// armed reports whether anything consumes per-syscall durations right now:
+// a Hook, an AddHook subscriber, a metrics registry, an enabled tracer or
+// an enabled strace writer (attached but disabled does not count). It is
+// evaluated on every dispatch, so arming takes effect from a running
+// guest's next syscall.
+func (w *WALI) armed() bool {
+	return w.Hook != nil || w.hooks.Load() != nil || w.Metrics != nil ||
+		w.Trace.Enabled() || w.Strace.Enabled()
 }
 
 // emitSyscall fans one completed syscall out to the subscribers. The

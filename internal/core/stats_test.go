@@ -6,17 +6,20 @@ import (
 	"testing"
 
 	"gowali/internal/interp"
+	"gowali/internal/wasm"
 )
 
-// statApp builds a minimal module issuing n getpid calls.
+// statApp builds a minimal module issuing n getpid calls from a counted
+// loop (a handful of IR slots, so timing it measures dispatch, not a
+// stream of unrolled code through the cache).
 func statApp(t *testing.T, n int) *interp.Compiled {
 	t.Helper()
 	b := newApp("getpid")
 	f := b.NewFunc(StartExport, nil, nil)
-	for i := 0; i < n; i++ {
+	countLoopT(f, f.Local(wasm.I32), int32(n), func() {
 		b.call(f, "getpid")
 		f.Drop()
-	}
+	})
 	f.Finish()
 	m, err := b.Build()
 	if err != nil {
@@ -34,6 +37,8 @@ func statApp(t *testing.T, n int) *interp.Compiled {
 // window) right after it exits — the Fig. 7 read pattern.
 func TestSyscallStatsRetainedAfterExit(t *testing.T) {
 	w := New()
+	// Handler time is measured only while a consumer is armed.
+	w.AddHook(func(SyscallEvent) {})
 	c := statApp(t, 7)
 	p, err := w.SpawnCompiled(c, "stats", nil, nil)
 	if err != nil {

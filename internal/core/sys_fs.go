@@ -87,7 +87,7 @@ func init() {
 	def("getrandom", 3, false, true, sysGetrandom)
 }
 
-func sysRead(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRead(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -95,7 +95,7 @@ func sysRead(p *Process, e *interp.Exec, a []int64) int64 {
 	return retN(p.KP.Read(int32(a[0]), buf))
 }
 
-func sysWrite(p *Process, e *interp.Exec, a []int64) int64 {
+func sysWrite(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -124,7 +124,7 @@ func (p *Process) iovecs(addr uint32, cnt int64) ([][]byte, linux.Errno) {
 	return out, 0
 }
 
-func sysReadv(p *Process, e *interp.Exec, a []int64) int64 {
+func sysReadv(p *Process, e *interp.Exec, a Args) int64 {
 	iovs, errno := p.iovecs(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -149,7 +149,7 @@ func sysReadv(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(total)
 }
 
-func sysWritev(p *Process, e *interp.Exec, a []int64) int64 {
+func sysWritev(p *Process, e *interp.Exec, a Args) int64 {
 	iovs, errno := p.iovecs(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -174,7 +174,7 @@ func sysWritev(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(total)
 }
 
-func sysPread64(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPread64(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -182,7 +182,7 @@ func sysPread64(p *Process, e *interp.Exec, a []int64) int64 {
 	return retN(p.KP.Pread64(int32(a[0]), buf, a[3]))
 }
 
-func sysPwrite64(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPwrite64(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -203,7 +203,7 @@ func guardProcMem(p *Process, path string) linux.Errno {
 	return 0
 }
 
-func sysOpen(p *Process, e *interp.Exec, a []int64) int64 {
+func sysOpen(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -215,7 +215,7 @@ func sysOpen(p *Process, e *interp.Exec, a []int64) int64 {
 	return ret64(int64(fd), errno)
 }
 
-func sysOpenat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysOpenat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -227,11 +227,11 @@ func sysOpenat(p *Process, e *interp.Exec, a []int64) int64 {
 	return ret64(int64(fd), errno)
 }
 
-func sysClose(p *Process, e *interp.Exec, a []int64) int64 {
+func sysClose(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Close(int32(a[0])))
 }
 
-func sysLseek(p *Process, e *interp.Exec, a []int64) int64 {
+func sysLseek(p *Process, e *interp.Exec, a Args) int64 {
 	off, errno := p.KP.Lseek(int32(a[0]), a[1], int32(a[2]))
 	return ret64(off, errno)
 }
@@ -248,7 +248,7 @@ func putStat(p *Process, addr uint32, st linux.Stat, errno linux.Errno) int64 {
 	return 0
 }
 
-func sysStat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysStat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -257,7 +257,7 @@ func sysStat(p *Process, e *interp.Exec, a []int64) int64 {
 	return putStat(p, uint32(a[1]), st, errno)
 }
 
-func sysLstat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysLstat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -266,12 +266,12 @@ func sysLstat(p *Process, e *interp.Exec, a []int64) int64 {
 	return putStat(p, uint32(a[1]), st, errno)
 }
 
-func sysFstat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFstat(p *Process, e *interp.Exec, a Args) int64 {
 	st, errno := p.KP.Fstat(int32(a[0]))
 	return putStat(p, uint32(a[1]), st, errno)
 }
 
-func sysNewfstatat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysNewfstatat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -281,7 +281,7 @@ func sysNewfstatat(p *Process, e *interp.Exec, a []int64) int64 {
 	return putStat(p, uint32(a[2]), st, errno)
 }
 
-func sysAccess(p *Process, e *interp.Exec, a []int64) int64 {
+func sysAccess(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -289,7 +289,7 @@ func sysAccess(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Access(linux.AT_FDCWD, path, int32(a[1])))
 }
 
-func sysFaccessat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFaccessat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -297,12 +297,12 @@ func sysFaccessat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Access(int32(a[0]), path, int32(a[2])))
 }
 
-func sysDup(p *Process, e *interp.Exec, a []int64) int64 {
+func sysDup(p *Process, e *interp.Exec, a Args) int64 {
 	fd, errno := p.KP.Dup(int32(a[0]))
 	return ret64(int64(fd), errno)
 }
 
-func sysDup2(p *Process, e *interp.Exec, a []int64) int64 {
+func sysDup2(p *Process, e *interp.Exec, a Args) int64 {
 	if a[0] == a[1] { // dup2 self: no-op success if valid
 		if _, errno := p.KP.FDs.Get(int32(a[0])); errno != 0 {
 			return errnoRet(errno)
@@ -313,17 +313,17 @@ func sysDup2(p *Process, e *interp.Exec, a []int64) int64 {
 	return ret64(int64(fd), errno)
 }
 
-func sysDup3(p *Process, e *interp.Exec, a []int64) int64 {
+func sysDup3(p *Process, e *interp.Exec, a Args) int64 {
 	fd, errno := p.KP.Dup3(int32(a[0]), int32(a[1]), int32(a[2]))
 	return ret64(int64(fd), errno)
 }
 
-func sysFcntl(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFcntl(p *Process, e *interp.Exec, a Args) int64 {
 	v, errno := p.KP.Fcntl(int32(a[0]), int32(a[1]), int32(a[2]))
 	return ret64(int64(v), errno)
 }
 
-func sysIoctl(p *Process, e *interp.Exec, a []int64) int64 {
+func sysIoctl(p *Process, e *interp.Exec, a Args) int64 {
 	// The argument is an ISA-identical operation value (§3.5); the data
 	// buffer size depends on the request.
 	cmd := uint32(a[1])
@@ -355,7 +355,7 @@ func sysIoctl(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(v)
 }
 
-func sysGetdents64(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetdents64(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -363,7 +363,7 @@ func sysGetdents64(p *Process, e *interp.Exec, a []int64) int64 {
 	return retN(p.KP.Getdents64(int32(a[0]), buf))
 }
 
-func sysMkdir(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMkdir(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -371,7 +371,7 @@ func sysMkdir(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.MkdirAt(linux.AT_FDCWD, path, uint32(a[1])))
 }
 
-func sysMkdirat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMkdirat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -379,7 +379,7 @@ func sysMkdirat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.MkdirAt(int32(a[0]), path, uint32(a[2])))
 }
 
-func sysRmdir(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRmdir(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -387,7 +387,7 @@ func sysRmdir(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.UnlinkAt(linux.AT_FDCWD, path, linux.AT_REMOVEDIR))
 }
 
-func sysUnlink(p *Process, e *interp.Exec, a []int64) int64 {
+func sysUnlink(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -395,7 +395,7 @@ func sysUnlink(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.UnlinkAt(linux.AT_FDCWD, path, 0))
 }
 
-func sysUnlinkat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysUnlinkat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -403,7 +403,7 @@ func sysUnlinkat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.UnlinkAt(int32(a[0]), path, int32(a[2])))
 }
 
-func sysRename(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRename(p *Process, e *interp.Exec, a Args) int64 {
 	oldp, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -415,7 +415,7 @@ func sysRename(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.RenameAt(linux.AT_FDCWD, oldp, linux.AT_FDCWD, newp))
 }
 
-func sysRenameat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRenameat(p *Process, e *interp.Exec, a Args) int64 {
 	oldp, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -427,7 +427,7 @@ func sysRenameat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.RenameAt(int32(a[0]), oldp, int32(a[2]), newp))
 }
 
-func sysLink(p *Process, e *interp.Exec, a []int64) int64 {
+func sysLink(p *Process, e *interp.Exec, a Args) int64 {
 	oldp, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -439,7 +439,7 @@ func sysLink(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.LinkAt(oldp, newp))
 }
 
-func sysLinkat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysLinkat(p *Process, e *interp.Exec, a Args) int64 {
 	oldp, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -451,7 +451,7 @@ func sysLinkat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.LinkAt(oldp, newp))
 }
 
-func sysSymlink(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSymlink(p *Process, e *interp.Exec, a Args) int64 {
 	target, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -463,7 +463,7 @@ func sysSymlink(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.SymlinkAt(target, path))
 }
 
-func sysSymlinkat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSymlinkat(p *Process, e *interp.Exec, a Args) int64 {
 	target, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -475,7 +475,7 @@ func sysSymlinkat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.SymlinkAt(target, path))
 }
 
-func sysReadlink(p *Process, e *interp.Exec, a []int64) int64 {
+func sysReadlink(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -483,7 +483,7 @@ func sysReadlink(p *Process, e *interp.Exec, a []int64) int64 {
 	return readlinkCommon(p, path, uint32(a[1]), a[2])
 }
 
-func sysReadlinkat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysReadlinkat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -503,7 +503,7 @@ func readlinkCommon(p *Process, path string, bufAddr uint32, bufLen int64) int64
 	return int64(copy(buf, target))
 }
 
-func sysChdir(p *Process, e *interp.Exec, a []int64) int64 {
+func sysChdir(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -511,11 +511,11 @@ func sysChdir(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Chdir(path))
 }
 
-func sysFchdir(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFchdir(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Fchdir(int32(a[0])))
 }
 
-func sysGetcwd(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetcwd(p *Process, e *interp.Exec, a Args) int64 {
 	cwd := p.KP.Cwd()
 	buf, errno := p.bufArg(uint32(a[0]), a[1])
 	if errno != 0 {
@@ -529,7 +529,7 @@ func sysGetcwd(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(len(cwd) + 1)
 }
 
-func sysChmod(p *Process, e *interp.Exec, a []int64) int64 {
+func sysChmod(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -537,11 +537,11 @@ func sysChmod(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.ChmodAt(linux.AT_FDCWD, path, uint32(a[1])))
 }
 
-func sysFchmod(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFchmod(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Fchmod(int32(a[0]), uint32(a[1])))
 }
 
-func sysFchmodat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFchmodat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -549,7 +549,7 @@ func sysFchmodat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.ChmodAt(int32(a[0]), path, uint32(a[2])))
 }
 
-func sysChown(p *Process, e *interp.Exec, a []int64) int64 {
+func sysChown(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -557,7 +557,7 @@ func sysChown(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.ChownAt(linux.AT_FDCWD, path, uint32(a[1]), uint32(a[2]), true))
 }
 
-func sysLchown(p *Process, e *interp.Exec, a []int64) int64 {
+func sysLchown(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -565,7 +565,7 @@ func sysLchown(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.ChownAt(linux.AT_FDCWD, path, uint32(a[1]), uint32(a[2]), false))
 }
 
-func sysFchownat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFchownat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -574,7 +574,7 @@ func sysFchownat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.ChownAt(int32(a[0]), path, uint32(a[2]), uint32(a[3]), follow))
 }
 
-func sysFchown(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFchown(p *Process, e *interp.Exec, a Args) int64 {
 	// Ownership is advisory in the simulated kernel: validate the fd,
 	// then succeed.
 	if _, errno := p.KP.FDs.Get(int32(a[0])); errno != 0 {
@@ -583,7 +583,7 @@ func sysFchown(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysTruncate(p *Process, e *interp.Exec, a []int64) int64 {
+func sysTruncate(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -591,28 +591,28 @@ func sysTruncate(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Truncate(path, a[1]))
 }
 
-func sysFtruncate(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFtruncate(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Ftruncate(int32(a[0]), a[1]))
 }
 
-func sysSync(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
+func sysSync(p *Process, e *interp.Exec, a Args) int64 { return 0 }
 
-func sysSync1(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSync1(p *Process, e *interp.Exec, a Args) int64 {
 	if _, errno := p.KP.FDs.Get(int32(a[0])); errno != 0 {
 		return errnoRet(errno)
 	}
 	return 0
 }
 
-func sysUmask(p *Process, e *interp.Exec, a []int64) int64 {
+func sysUmask(p *Process, e *interp.Exec, a Args) int64 {
 	return int64(p.KP.Umask(uint32(a[0])))
 }
 
-func sysPipe(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPipe(p *Process, e *interp.Exec, a Args) int64 {
 	return pipeCommon(p, uint32(a[0]), 0)
 }
 
-func sysPipe2(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPipe2(p *Process, e *interp.Exec, a Args) int64 {
 	return pipeCommon(p, uint32(a[0]), int32(a[1]))
 }
 
@@ -630,7 +630,7 @@ func pipeCommon(p *Process, addr uint32, flags int32) int64 {
 	return 0
 }
 
-func sysPoll(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPoll(p *Process, e *interp.Exec, a Args) int64 {
 	nfds := a[1]
 	if nfds < 0 || nfds > 4096 {
 		return errnoRet(linux.EINVAL)
@@ -660,7 +660,7 @@ func sysPoll(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(n)
 }
 
-func sysSelect(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSelect(p *Process, e *interp.Exec, a Args) int64 {
 	nfds := int32(a[0])
 	if nfds < 0 || nfds > 1024 {
 		return errnoRet(linux.EINVAL)
@@ -721,7 +721,7 @@ func sysSelect(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(n)
 }
 
-func sysStatfs(p *Process, e *interp.Exec, a []int64) int64 {
+func sysStatfs(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -738,7 +738,7 @@ func sysStatfs(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysFstatfs(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFstatfs(p *Process, e *interp.Exec, a Args) int64 {
 	if _, errno := p.KP.FDs.Get(int32(a[0])); errno != 0 {
 		return errnoRet(errno)
 	}
@@ -751,7 +751,7 @@ func sysFstatfs(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysUtimensat(p *Process, e *interp.Exec, a []int64) int64 {
+func sysUtimensat(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[1]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -773,7 +773,7 @@ func sysUtimensat(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.UtimensAt(int32(a[0]), path, atime, mtime, follow))
 }
 
-func sysSendfile(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSendfile(p *Process, e *interp.Exec, a Args) int64 {
 	// offset pointer (a[2]) unsupported: apps in this repo pass NULL.
 	if uint32(a[2]) != 0 {
 		return errnoRet(linux.EINVAL)
@@ -781,26 +781,26 @@ func sysSendfile(p *Process, e *interp.Exec, a []int64) int64 {
 	return retN(p.KP.Sendfile(int32(a[0]), int32(a[1]), int(a[3])))
 }
 
-func sysCopyFileRange(p *Process, e *interp.Exec, a []int64) int64 {
+func sysCopyFileRange(p *Process, e *interp.Exec, a Args) int64 {
 	if uint32(a[1]) != 0 || uint32(a[3]) != 0 {
 		return errnoRet(linux.EINVAL)
 	}
 	return retN(p.KP.Sendfile(int32(a[2]), int32(a[0]), int(a[4])))
 }
 
-func sysFlock(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFlock(p *Process, e *interp.Exec, a Args) int64 {
 	if _, errno := p.KP.FDs.Get(int32(a[0])); errno != 0 {
 		return errnoRet(errno)
 	}
 	return 0 // advisory whole-file locks: single-kernel sim treats as success
 }
 
-func sysEpollCreate1(p *Process, e *interp.Exec, a []int64) int64 {
+func sysEpollCreate1(p *Process, e *interp.Exec, a Args) int64 {
 	fd, errno := p.KP.EpollCreate(int32(a[0]))
 	return ret64(int64(fd), errno)
 }
 
-func sysEpollCtl(p *Process, e *interp.Exec, a []int64) int64 {
+func sysEpollCtl(p *Process, e *interp.Exec, a Args) int64 {
 	var events uint32
 	var data uint64
 	if uint32(a[3]) != 0 {
@@ -813,7 +813,7 @@ func sysEpollCtl(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.EpollCtl(int32(a[0]), int32(a[1]), int32(a[2]), events, data))
 }
 
-func sysEpollWait(p *Process, e *interp.Exec, a []int64) int64 {
+func sysEpollWait(p *Process, e *interp.Exec, a Args) int64 {
 	maxEv := int(a[2])
 	if maxEv <= 0 || maxEv > 4096 {
 		return errnoRet(linux.EINVAL)
@@ -836,7 +836,7 @@ func sysEpollWait(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(len(evs))
 }
 
-func sysGetrandom(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetrandom(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[0]), a[1])
 	if errno != 0 {
 		return errnoRet(errno)

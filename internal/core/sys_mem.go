@@ -29,7 +29,7 @@ func init() {
 	def("process_vm_writev", 6, false, false, sysProcessVMDenied)
 }
 
-func sysMmap(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMmap(p *Process, e *interp.Exec, a Args) int64 {
 	addr := uint32(a[0])
 	length := a[1]
 	prot := int32(a[2])
@@ -54,11 +54,11 @@ func sysMmap(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(mapped)
 }
 
-func sysMunmap(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMunmap(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.Pool.Unmap(uint32(a[0]), uint32(a[1])))
 }
 
-func sysMremap(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMremap(p *Process, e *interp.Exec, a Args) int64 {
 	addr, errno := p.Pool.Remap(uint32(a[0]), uint32(a[1]), uint32(a[2]), int32(a[3]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -66,15 +66,15 @@ func sysMremap(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(addr)
 }
 
-func sysMprotect(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMprotect(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.Pool.Protect(uint32(a[0]), uint32(a[1]), int32(a[2])))
 }
 
-func sysMsync(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMsync(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.Pool.Sync(uint32(a[0]), uint32(a[1])))
 }
 
-func sysMadvise(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMadvise(p *Process, e *interp.Exec, a Args) int64 {
 	switch int32(a[2]) {
 	case linux.MADV_NORMAL, linux.MADV_RANDOM, linux.MADV_SEQUENTIAL,
 		linux.MADV_WILLNEED, linux.MADV_DONTNEED:
@@ -83,11 +83,11 @@ func sysMadvise(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(linux.EINVAL)
 }
 
-func sysBrk(p *Process, e *interp.Exec, a []int64) int64 {
+func sysBrk(p *Process, e *interp.Exec, a Args) int64 {
 	return int64(p.Pool.Brk(uint32(a[0])))
 }
 
-func sysMincore(p *Process, e *interp.Exec, a []int64) int64 {
+func sysMincore(p *Process, e *interp.Exec, a Args) int64 {
 	pages := (a[1] + MapGranularity - 1) / MapGranularity
 	buf, errno := p.bufArg(uint32(a[2]), pages)
 	if errno != 0 {
@@ -101,8 +101,8 @@ func sysMincore(p *Process, e *interp.Exec, a []int64) int64 {
 
 // sysProcessVMDenied blocks cross-process address-space access (§3.6
 // pitfall 2): the calls are syntactically available but always refused.
-func sysProcessVMDenied(p *Process, e *interp.Exec, a []int64) int64 {
+func sysProcessVMDenied(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(linux.EPERM)
 }
 
-func sysOK0(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
+func sysOK0(p *Process, e *interp.Exec, a Args) int64 { return 0 }

@@ -37,49 +37,49 @@ func init() {
 	def("syslog", 3, false, true, sysOK3)
 }
 
-func sysGetuid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetuid(p *Process, e *interp.Exec, a Args) int64 {
 	u, _, _, _ := p.KP.Creds()
 	return int64(u)
 }
 
-func sysGeteuid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGeteuid(p *Process, e *interp.Exec, a Args) int64 {
 	_, eu, _, _ := p.KP.Creds()
 	return int64(eu)
 }
 
-func sysGetgid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetgid(p *Process, e *interp.Exec, a Args) int64 {
 	_, _, g, _ := p.KP.Creds()
 	return int64(g)
 }
 
-func sysGetegid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetegid(p *Process, e *interp.Exec, a Args) int64 {
 	_, _, _, eg := p.KP.Creds()
 	return int64(eg)
 }
 
-func sysSetuid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetuid(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.SetUID(uint32(a[0])))
 }
 
-func sysSetgid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetgid(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.SetGID(uint32(a[0])))
 }
 
-func sysSetreuid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetreuid(p *Process, e *interp.Exec, a Args) int64 {
 	if int32(a[1]) >= 0 {
 		return errnoRet(p.KP.SetUID(uint32(a[1])))
 	}
 	return 0
 }
 
-func sysSetregid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetregid(p *Process, e *interp.Exec, a Args) int64 {
 	if int32(a[1]) >= 0 {
 		return errnoRet(p.KP.SetGID(uint32(a[1])))
 	}
 	return 0
 }
 
-func sysGetresuid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetresuid(p *Process, e *interp.Exec, a Args) int64 {
 	u, eu, _, _ := p.KP.Creds()
 	mem := p.Inst.Mem
 	if !mem.WriteU32(uint32(a[0]), u) || !mem.WriteU32(uint32(a[1]), eu) ||
@@ -89,7 +89,7 @@ func sysGetresuid(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysGetresgid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetresgid(p *Process, e *interp.Exec, a Args) int64 {
 	_, _, g, eg := p.KP.Creds()
 	mem := p.Inst.Mem
 	if !mem.WriteU32(uint32(a[0]), g) || !mem.WriteU32(uint32(a[1]), eg) ||
@@ -99,7 +99,7 @@ func sysGetresgid(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysGetgroups(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetgroups(p *Process, e *interp.Exec, a Args) int64 {
 	groups := p.KP.Groups()
 	if a[0] == 0 {
 		return int64(len(groups))
@@ -115,7 +115,7 @@ func sysGetgroups(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(len(groups))
 }
 
-func sysSetgroups(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetgroups(p *Process, e *interp.Exec, a Args) int64 {
 	n := a[0]
 	if n < 0 || n > 64 {
 		return errnoRet(linux.EINVAL)
@@ -131,7 +131,7 @@ func sysSetgroups(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.SetGroups(groups))
 }
 
-func sysClockGettime(p *Process, e *interp.Exec, a []int64) int64 {
+func sysClockGettime(p *Process, e *interp.Exec, a Args) int64 {
 	ts, errno := p.W.Kernel.ClockGettime(int32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -144,7 +144,7 @@ func sysClockGettime(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysClockGetres(p *Process, e *interp.Exec, a []int64) int64 {
+func sysClockGetres(p *Process, e *interp.Exec, a Args) int64 {
 	if uint32(a[1]) != 0 {
 		buf, ok := p.Inst.Mem.Bytes(uint32(a[1]), isa.TimespecSize)
 		if !ok {
@@ -155,7 +155,7 @@ func sysClockGetres(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysNanosleep(p *Process, e *interp.Exec, a []int64) int64 {
+func sysNanosleep(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.TimespecSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
@@ -177,7 +177,7 @@ func sysNanosleep(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysClockNanosleep(p *Process, e *interp.Exec, a []int64) int64 {
+func sysClockNanosleep(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[2]), isa.TimespecSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
@@ -198,7 +198,7 @@ func sysClockNanosleep(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(errno)
 }
 
-func sysGettimeofday(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGettimeofday(p *Process, e *interp.Exec, a Args) int64 {
 	if uint32(a[0]) != 0 {
 		buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.TimevalSize)
 		if !ok {
@@ -209,7 +209,7 @@ func sysGettimeofday(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysTime(p *Process, e *interp.Exec, a []int64) int64 {
+func sysTime(p *Process, e *interp.Exec, a Args) int64 {
 	sec := p.W.Kernel.Realtime().Sec
 	if uint32(a[0]) != 0 {
 		if !p.Inst.Mem.WriteU64(uint32(a[0]), uint64(sec)) {
@@ -219,7 +219,7 @@ func sysTime(p *Process, e *interp.Exec, a []int64) int64 {
 	return sec
 }
 
-func sysUname(p *Process, e *interp.Exec, a []int64) int64 {
+func sysUname(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.UtsnameSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
@@ -228,7 +228,7 @@ func sysUname(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysSysinfo(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSysinfo(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.SysinfoSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)

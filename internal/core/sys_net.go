@@ -28,12 +28,12 @@ func init() {
 	def("getsockopt", 5, false, true, sysGetsockopt)
 }
 
-func sysSocket(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSocket(p *Process, e *interp.Exec, a Args) int64 {
 	fd, errno := p.KP.SocketSyscall(int32(a[0]), int32(a[1]), int32(a[2]))
 	return ret64(int64(fd), errno)
 }
 
-func sysSocketpair(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSocketpair(p *Process, e *interp.Exec, a Args) int64 {
 	f0, f1, errno := p.KP.SocketPair(int32(a[0]), int32(a[1]), int32(a[2]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -88,7 +88,7 @@ func (p *Process) putSockaddr(sa kernel.SockAddr, addr, lenAddr uint32) linux.Er
 	return 0
 }
 
-func sysBind(p *Process, e *interp.Exec, a []int64) int64 {
+func sysBind(p *Process, e *interp.Exec, a Args) int64 {
 	sa, errno := p.sockaddrArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -96,15 +96,15 @@ func sysBind(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Bind(int32(a[0]), sa))
 }
 
-func sysListen(p *Process, e *interp.Exec, a []int64) int64 {
+func sysListen(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Listen(int32(a[0]), int32(a[1])))
 }
 
-func sysAccept(p *Process, e *interp.Exec, a []int64) int64 {
+func sysAccept(p *Process, e *interp.Exec, a Args) int64 {
 	return acceptCommon(p, int32(a[0]), uint32(a[1]), uint32(a[2]), 0)
 }
 
-func sysAccept4(p *Process, e *interp.Exec, a []int64) int64 {
+func sysAccept4(p *Process, e *interp.Exec, a Args) int64 {
 	return acceptCommon(p, int32(a[0]), uint32(a[1]), uint32(a[2]), int32(a[3]))
 }
 
@@ -120,7 +120,7 @@ func acceptCommon(p *Process, fd int32, addrPtr, lenPtr uint32, flags int32) int
 	return int64(nfd)
 }
 
-func sysConnect(p *Process, e *interp.Exec, a []int64) int64 {
+func sysConnect(p *Process, e *interp.Exec, a Args) int64 {
 	sa, errno := p.sockaddrArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -128,7 +128,7 @@ func sysConnect(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.Connect(int32(a[0]), sa))
 }
 
-func sysSendto(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSendto(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -144,7 +144,7 @@ func sysSendto(p *Process, e *interp.Exec, a []int64) int64 {
 	return retN(p.KP.SendTo(int32(a[0]), buf, int32(a[3]), to))
 }
 
-func sysRecvfrom(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRecvfrom(p *Process, e *interp.Exec, a Args) int64 {
 	buf, errno := p.bufArg(uint32(a[1]), a[2])
 	if errno != 0 {
 		return errnoRet(errno)
@@ -163,7 +163,7 @@ func sysRecvfrom(p *Process, e *interp.Exec, a []int64) int64 {
 // u32@12, control u32@16, controllen u32@20, flags i32@24. Size 28.
 const msghdrSize = 28
 
-func sysSendmsg(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSendmsg(p *Process, e *interp.Exec, a Args) int64 {
 	hdr, errno := p.bufArg(uint32(a[1]), msghdrSize)
 	if errno != 0 {
 		return errnoRet(errno)
@@ -188,7 +188,7 @@ func sysSendmsg(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(total)
 }
 
-func sysRecvmsg(p *Process, e *interp.Exec, a []int64) int64 {
+func sysRecvmsg(p *Process, e *interp.Exec, a Args) int64 {
 	hdr, errno := p.bufArg(uint32(a[1]), msghdrSize)
 	if errno != 0 {
 		return errnoRet(errno)
@@ -216,11 +216,11 @@ func sysRecvmsg(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(total)
 }
 
-func sysShutdown(p *Process, e *interp.Exec, a []int64) int64 {
+func sysShutdown(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Shutdown(int32(a[0]), int32(a[1])))
 }
 
-func sysGetsockname(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetsockname(p *Process, e *interp.Exec, a Args) int64 {
 	sa, errno := p.KP.GetSockName(int32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -228,7 +228,7 @@ func sysGetsockname(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.putSockaddr(sa, uint32(a[1]), uint32(a[2])))
 }
 
-func sysGetpeername(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetpeername(p *Process, e *interp.Exec, a Args) int64 {
 	sa, errno := p.KP.GetPeerName(int32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -236,7 +236,7 @@ func sysGetpeername(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.putSockaddr(sa, uint32(a[1]), uint32(a[2])))
 }
 
-func sysSetsockopt(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetsockopt(p *Process, e *interp.Exec, a Args) int64 {
 	var val int32
 	if uint32(a[3]) != 0 && a[4] >= 4 {
 		v, ok := p.Inst.Mem.ReadU32(uint32(a[3]))
@@ -248,7 +248,7 @@ func sysSetsockopt(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(p.KP.SetSockOpt(int32(a[0]), int32(a[1]), int32(a[2]), val))
 }
 
-func sysGetsockopt(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetsockopt(p *Process, e *interp.Exec, a Args) int64 {
 	v, errno := p.KP.GetSockOpt(int32(a[0]), int32(a[1]), int32(a[2]))
 	if errno != 0 {
 		return errnoRet(errno)

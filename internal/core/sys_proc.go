@@ -64,7 +64,7 @@ func init() {
 // sysFork implements fork as pass-through kernel fork plus engine-side
 // clone of instance and execution (§3.1 1-to-1 model). The clone resumes
 // on its own goroutine; the parent returns the child pid, the child 0.
-func sysFork(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFork(p *Process, e *interp.Exec, a Args) int64 {
 	// Budget gate: the child duplicates the address space, so its full
 	// size is reserved against the tenant before cloning; Linux reports
 	// fork failure for exceeded resource ceilings as EAGAIN.
@@ -88,7 +88,7 @@ func sysFork(p *Process, e *interp.Exec, a []int64) int64 {
 // Thread convention (our toolchain's clone wrapper): args are
 // (flags, fn_tableidx, arg, ptid, ctid); the new thread executes
 // table[fn_tableidx](arg).
-func sysClone(p *Process, e *interp.Exec, a []int64) int64 {
+func sysClone(p *Process, e *interp.Exec, a Args) int64 {
 	flags := a[0]
 	if flags&linux.CLONE_THREAD != 0 {
 		tid, errno := p.spawnThread(uint32(a[1]), uint32(a[2]), uint32(a[4]), flags)
@@ -103,7 +103,7 @@ func sysClone(p *Process, e *interp.Exec, a []int64) int64 {
 	return sysFork(p, e, a)
 }
 
-func sysExecve(p *Process, e *interp.Exec, a []int64) int64 {
+func sysExecve(p *Process, e *interp.Exec, a Args) int64 {
 	path, errno := p.pathArg(uint32(a[0]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -150,11 +150,11 @@ func (p *Process) strArray(addr uint32) ([]string, linux.Errno) {
 	return nil, linux.E2BIG
 }
 
-func sysExit(p *Process, e *interp.Exec, a []int64) int64 {
+func sysExit(p *Process, e *interp.Exec, a Args) int64 {
 	panic(&interp.Exit{Status: int32(a[0])})
 }
 
-func sysWait4(p *Process, e *interp.Exec, a []int64) int64 {
+func sysWait4(p *Process, e *interp.Exec, a Args) int64 {
 	pid, status, ru, errno := p.KP.Wait4(int32(a[0]), int32(a[2]))
 	if errno != 0 {
 		return errnoRet(errno)
@@ -174,7 +174,7 @@ func sysWait4(p *Process, e *interp.Exec, a []int64) int64 {
 	return int64(pid)
 }
 
-func sysWaitid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysWaitid(p *Process, e *interp.Exec, a Args) int64 {
 	// waitid(idtype, id, infop, options, rusage): P_ALL=0, P_PID=1.
 	pid := int32(-1)
 	if a[0] == 1 {
@@ -198,40 +198,40 @@ func sysWaitid(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysGetpid(p *Process, e *interp.Exec, a []int64) int64 { return int64(p.KP.TGID) }
+func sysGetpid(p *Process, e *interp.Exec, a Args) int64 { return int64(p.KP.TGID) }
 
-func sysGetppid(p *Process, e *interp.Exec, a []int64) int64 { return int64(p.KP.Getppid()) }
+func sysGetppid(p *Process, e *interp.Exec, a Args) int64 { return int64(p.KP.Getppid()) }
 
-func sysGettid(p *Process, e *interp.Exec, a []int64) int64 { return int64(p.KP.PID) }
+func sysGettid(p *Process, e *interp.Exec, a Args) int64 { return int64(p.KP.PID) }
 
-func sysGetpgid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetpgid(p *Process, e *interp.Exec, a Args) int64 {
 	pg, errno := p.KP.Getpgid(int32(a[0]))
 	return ret64(int64(pg), errno)
 }
 
-func sysSetpgid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetpgid(p *Process, e *interp.Exec, a Args) int64 {
 	return errnoRet(p.KP.Setpgid(int32(a[0]), int32(a[1])))
 }
 
-func sysGetpgrp(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetpgrp(p *Process, e *interp.Exec, a Args) int64 {
 	pg, _ := p.KP.Getpgid(0)
 	return int64(pg)
 }
 
-func sysGetsid(p *Process, e *interp.Exec, a []int64) int64 { return int64(p.KP.Getsid()) }
+func sysGetsid(p *Process, e *interp.Exec, a Args) int64 { return int64(p.KP.Getsid()) }
 
-func sysSetsid(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetsid(p *Process, e *interp.Exec, a Args) int64 {
 	sid, errno := p.KP.Setsid()
 	return ret64(int64(sid), errno)
 }
 
-func sysSchedYield(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSchedYield(p *Process, e *interp.Exec, a Args) int64 {
 	// Yield the goroutine; the Go scheduler is the CPU.
 	schedYield()
 	return 0
 }
 
-func sysSchedGetaffinity(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSchedGetaffinity(p *Process, e *interp.Exec, a Args) int64 {
 	size := a[1]
 	if size < 8 {
 		return errnoRet(linux.EINVAL)
@@ -244,11 +244,11 @@ func sysSchedGetaffinity(p *Process, e *interp.Exec, a []int64) int64 {
 	return 8
 }
 
-func sysGetpriority(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetpriority(p *Process, e *interp.Exec, a Args) int64 {
 	return 20 // nice 0, in getpriority's shifted encoding
 }
 
-func sysPrlimit64(p *Process, e *interp.Exec, a []int64) int64 {
+func sysPrlimit64(p *Process, e *interp.Exec, a Args) int64 {
 	res := int32(a[1])
 	var newLim *[2]uint64
 	if uint32(a[2]) != 0 {
@@ -273,7 +273,7 @@ func sysPrlimit64(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysGetrlimit(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetrlimit(p *Process, e *interp.Exec, a Args) int64 {
 	old, errno := p.KP.Prlimit(int32(a[0]), nil)
 	if errno != 0 {
 		return errnoRet(errno)
@@ -286,7 +286,7 @@ func sysGetrlimit(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysSetrlimit(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetrlimit(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[1]), isa.RlimitSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
@@ -296,7 +296,7 @@ func sysSetrlimit(p *Process, e *interp.Exec, a []int64) int64 {
 	return errnoRet(errno)
 }
 
-func sysGetrusage(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetrusage(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[1]), isa.RusageSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
@@ -305,7 +305,7 @@ func sysGetrusage(p *Process, e *interp.Exec, a []int64) int64 {
 	return 0
 }
 
-func sysTimes(p *Process, e *interp.Exec, a []int64) int64 {
+func sysTimes(p *Process, e *interp.Exec, a Args) int64 {
 	ru := p.KP.Rusage()
 	if uint32(a[0]) != 0 {
 		buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.TmsSize)
@@ -318,12 +318,12 @@ func sysTimes(p *Process, e *interp.Exec, a []int64) int64 {
 	return p.W.Kernel.Monotonic().Nanos() / 1e7
 }
 
-func sysSetTidAddress(p *Process, e *interp.Exec, a []int64) int64 {
+func sysSetTidAddress(p *Process, e *interp.Exec, a Args) int64 {
 	p.KP.SetClearTID(uint32(a[0]))
 	return int64(p.KP.PID)
 }
 
-func sysGetcpu(p *Process, e *interp.Exec, a []int64) int64 {
+func sysGetcpu(p *Process, e *interp.Exec, a Args) int64 {
 	if uint32(a[0]) != 0 {
 		p.Inst.Mem.WriteU32(uint32(a[0]), 0)
 	}
@@ -336,7 +336,7 @@ func sysGetcpu(p *Process, e *interp.Exec, a []int64) int64 {
 // sysFutex bridges Wasm futexes to the kernel: the memory object is the
 // address-space identity, so thread groups sharing a memory rendezvous and
 // distinct processes do not.
-func sysFutex(p *Process, e *interp.Exec, a []int64) int64 {
+func sysFutex(p *Process, e *interp.Exec, a Args) int64 {
 	addr := uint32(a[0])
 	op := int32(a[1]) & int32(linux.FUTEX_CMD_MASK)
 	val := uint32(a[2])
@@ -375,7 +375,7 @@ func sysFutex(p *Process, e *interp.Exec, a []int64) int64 {
 }
 
 // Generic accept-and-succeed handlers for advisory calls.
-func sysOK1(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
-func sysOK2(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
-func sysOK3(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
-func sysOK5(p *Process, e *interp.Exec, a []int64) int64 { return 0 }
+func sysOK1(p *Process, e *interp.Exec, a Args) int64 { return 0 }
+func sysOK2(p *Process, e *interp.Exec, a Args) int64 { return 0 }
+func sysOK3(p *Process, e *interp.Exec, a Args) int64 { return 0 }
+func sysOK5(p *Process, e *interp.Exec, a Args) int64 { return 0 }

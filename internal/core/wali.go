@@ -71,8 +71,9 @@ type WALI struct {
 	Strict bool
 
 	// ExtendLinker, if non-nil, registers additional host namespaces on
-	// every process linker. The WASI-over-WALI layer (internal/wasi)
-	// installs itself here.
+	// the engine's linker, which is built once at the first process start
+	// and shared read-only by every later one. The WASI-over-WALI layer
+	// (internal/wasi) installs itself here. Set before spawning.
 	ExtendLinker func(*interp.Linker)
 
 	// Sched, when non-nil, multiplexes guest goroutines onto a bounded
@@ -99,6 +100,10 @@ type WALI struct {
 	// sysHists caches per-syscall latency histograms resolved from
 	// Metrics, so dispatch never formats a label string (see obs.go).
 	sysHists sync.Map
+
+	// linker is what every process instantiates against; see hostLinker.
+	linkerOnce sync.Once
+	linker     *interp.Linker
 
 	mu    sync.Mutex
 	procs map[int32]*Process
@@ -329,12 +334,7 @@ func (w *WALI) newProcess(kp *kernel.Process, c *interp.Compiled, argv, env []st
 		Sig:      NewSigtable(),
 		done:     make(chan struct{}),
 	}
-	linker := interp.NewLinker()
-	w.RegisterHost(linker)
-	if w.ExtendLinker != nil {
-		w.ExtendLinker(linker)
-	}
-	inst, err := c.Instantiate(linker)
+	inst, err := c.Instantiate(w.hostLinker())
 	if err != nil {
 		return nil, err
 	}
@@ -464,12 +464,7 @@ func (p *Process) doExec() error {
 		return err
 	}
 	p.KP.Exec(req.argv[0], req.argv, req.envp)
-	linker := interp.NewLinker()
-	p.W.RegisterHost(linker)
-	if p.W.ExtendLinker != nil {
-		p.W.ExtendLinker(linker)
-	}
-	inst, err := c.Instantiate(linker)
+	inst, err := c.Instantiate(p.W.hostLinker())
 	if err != nil {
 		return err
 	}
@@ -685,26 +680,16 @@ func ProcessFromExec(e *interp.Exec) *Process { return fromExec(e) }
 
 // Syscall invokes a WALI syscall by name on behalf of a layered API,
 // exactly as a Wasm module import call would (same dispatch, same
-// accounting, same return convention). Unknown names return -ENOSYS.
+// accounting, same return convention, same unwinding with *interp.Exit
+// when a fatal signal is pending). Unknown names return -ENOSYS.
 func (p *Process) Syscall(e *interp.Exec, name string, args ...int64) int64 {
 	d, ok := registry[name]
 	if !ok {
 		return errnoRet(linux.ENOSYS)
 	}
-	full := make([]int64, d.NArgs)
-	copy(full, args)
-	entry := p.straceEntry(name, full)
-	start := time.Now()
-	var ret int64
-	defer func() {
-		dur := time.Since(start)
-		p.stats.add(dur)
-		p.W.emitSyscall(p.KP.PID, name, dur, ret)
-		p.W.observeSyscall(p.KP.PID, name, dur, ret)
-		p.straceExit(entry, ret, dur)
-	}()
-	ret = d.Fn(p, e, full)
-	return ret
+	var a Args
+	copy(a[:d.NArgs], args)
+	return p.dispatch(d, e, a)
 }
 
 // Console is a convenience accessor for the kernel console output.

@@ -119,6 +119,12 @@ type Exec struct {
 	stack  []uint64
 	frames []frame
 
+	// hostBase is the operand-stack height below the innermost in-flight
+	// host call's stack view (its params stay on the stack for the
+	// duration of the call), or -1 when no host call is in flight.
+	// CloneWith cuts the child's stack here.
+	hostBase int
+
 	// Poll, if non-nil, is invoked at safepoints according to Scheme.
 	// WALI installs its virtual signal delivery here.
 	Poll   func(*Exec)
@@ -154,7 +160,7 @@ type Exec struct {
 
 // NewExec creates an execution context for inst.
 func NewExec(inst *Instance) *Exec {
-	return &Exec{Inst: inst, MaxFrames: DefaultMaxFrames, MaxStack: DefaultMaxStack}
+	return &Exec{Inst: inst, hostBase: -1, MaxFrames: DefaultMaxFrames, MaxStack: DefaultMaxStack}
 }
 
 // CurInstance returns the instance of the innermost frame, or the root
@@ -207,6 +213,7 @@ func (e *Exec) Invoke(fidx uint32, args ...uint64) (res []uint64, err error) {
 			// reusable for diagnostics.
 			e.stack = e.stack[:0]
 			e.frames = e.frames[:0]
+			e.hostBase = -1
 		}
 	}()
 	fn := &e.Inst.funcs[fidx]
@@ -238,6 +245,7 @@ func (e *Exec) Resume() (err error) {
 			}
 			e.stack = e.stack[:0]
 			e.frames = e.frames[:0]
+			e.hostBase = -1
 		}
 	}()
 	e.run(0)
@@ -266,11 +274,19 @@ func (e *Exec) CallFunc(fidx uint32, args ...uint64) []uint64 {
 // CloneWith deep-copies the execution state onto a new instance — the
 // engine-side half of WALI fork. The caller supplies the cloned instance
 // (memory already copied). Poll and HostCtx are NOT copied; the embedder
-// rebinds them for the child process.
+// rebinds them for the child process. Called from inside a host function
+// (fork is one), the clone's operand stack stops below that call's stack
+// view: the child sees the stack as it was before the call's params were
+// pushed, and the embedder supplies its return value with Push.
 func (e *Exec) CloneWith(inst *Instance) *Exec {
+	live := e.stack
+	if e.hostBase >= 0 {
+		live = live[:e.hostBase]
+	}
 	c := &Exec{
 		Inst:      inst,
-		stack:     append([]uint64(nil), e.stack...),
+		stack:     append([]uint64(nil), live...),
+		hostBase:  -1,
 		Scheme:    e.Scheme,
 		Tier:      e.Tier,
 		MaxFrames: e.MaxFrames,
@@ -296,17 +312,7 @@ func (e *Exec) Push(v uint64) { e.push(v) }
 func (e *Exec) invokeIndex(inst *Instance, fidx uint32) {
 	fn := &inst.funcs[fidx]
 	if fn.kind == kindHost {
-		n := len(fn.typ.Params)
-		args := make([]uint64, n)
-		copy(args, e.stack[len(e.stack)-n:])
-		e.stack = e.stack[:len(e.stack)-n]
-		res := fn.host.Fn(e, args)
-		if len(res) != len(fn.typ.Results) {
-			Throw(TrapHost, "%s returned %d results, want %d", fn.name, len(res), len(fn.typ.Results))
-		}
-		for _, v := range res {
-			e.push(v)
-		}
+		e.callHost(fn)
 		return
 	}
 	if len(e.frames) >= e.MaxFrames {
@@ -319,6 +325,35 @@ func (e *Exec) invokeIndex(inst *Instance, fidx uint32) {
 	e.frames = append(e.frames, frame{fn: fn, inst: inst, base: base})
 	if e.Scheme == SafepointFunc {
 		e.safepoint()
+	}
+}
+
+// callHost runs a host function over a view of the operand stack (see
+// HostFunc): the params stay where the caller pushed them, slots for
+// results wider than the params are reserved first, and the view is cut
+// down to the results afterwards — no allocation either way.
+func (e *Exec) callHost(fn *resolvedFunc) {
+	np, nr := fn.numParam, len(fn.typ.Results)
+	base := len(e.stack) - np
+	n := np
+	if nr > np {
+		if base+nr > e.MaxStack {
+			Throw(TrapStackExhausted, "value stack limit %d", e.MaxStack)
+		}
+		for ; n < nr; n++ {
+			e.stack = append(e.stack, 0)
+		}
+	}
+	view := e.stack[base : base+n : base+n]
+	outer := e.hostBase
+	e.hostBase = base
+	fn.host.Fn(e, view)
+	e.hostBase = outer
+	// A re-entrant call may have grown (reallocated) the stack under the
+	// view; the params' slots are still below everything it pushed.
+	e.stack = e.stack[:base+nr]
+	for i := 0; i < nr; i++ {
+		e.stack[base+i] = view[i]
 	}
 }
 

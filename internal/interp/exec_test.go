@@ -304,8 +304,8 @@ func TestHostFunctions(t *testing.T) {
 
 	l := NewLinker()
 	l.DefineFunc("env", "add", []wasm.ValType{wasm.I32, wasm.I32}, []wasm.ValType{wasm.I32},
-		func(e *Exec, args []uint64) []uint64 {
-			return []uint64{uint64(uint32(args[0]) + uint32(args[1]))}
+		func(e *Exec, stack []uint64) {
+			stack[0] = uint64(uint32(stack[0]) + uint32(stack[1]))
 		})
 	inst := compile(t, b, l)
 	if got := run1(t, inst, "run", 32); uint32(got) != 42 {
@@ -332,7 +332,7 @@ func TestLinkErrors(t *testing.T) {
 	}
 	// Signature mismatch.
 	l := NewLinker()
-	l.DefineFunc("env", "missing", []wasm.ValType{wasm.I32}, nil, func(e *Exec, a []uint64) []uint64 { return nil })
+	l.DefineFunc("env", "missing", []wasm.ValType{wasm.I32}, nil, func(e *Exec, stack []uint64) {})
 	if _, err := NewInstance(m, l); err == nil {
 		t.Fatal("expected signature mismatch link error")
 	}
@@ -346,9 +346,8 @@ func TestLinkerFallback(t *testing.T) {
 	f.Finish()
 	l := NewLinker()
 	l.Fallback = func(module, name string, ft wasm.FuncType) (HostFunc, bool) {
-		return HostFunc{Type: ft, Fn: func(e *Exec, a []uint64) []uint64 {
+		return HostFunc{Type: ft, Fn: func(e *Exec, stack []uint64) {
 			Throw(TrapHost, "unimplemented %s.%s", module, name)
-			return nil
 		}}, true
 	}
 	inst := compile(t, b, l)
@@ -368,9 +367,8 @@ func TestReentrantCallFunc(t *testing.T) {
 
 	l := NewLinker()
 	l.DefineFunc("env", "invoke_handler", nil, []wasm.ValType{wasm.I32},
-		func(e *Exec, args []uint64) []uint64 {
-			res := e.CallFunc(hIdx)
-			return []uint64{res[0]}
+		func(e *Exec, stack []uint64) {
+			stack[0] = e.CallFunc(hIdx)[0]
 		})
 	inst := compile(t, b, l)
 	if got := run1(t, inst, "run"); uint32(got) != 100 {
@@ -380,49 +378,128 @@ func TestReentrantCallFunc(t *testing.T) {
 
 func TestCloneResumesAfterHostCall(t *testing.T) {
 	// The fork pattern: a host call clones the exec mid-flight; both parent
-	// and child resume after the call with different return values.
-	b := wasm.NewBuilder("fork")
-	forkImp := b.ImportFunc("env", "fork", nil, []wasm.ValType{wasm.I32})
-	b.Memory(1, 1, false)
+	// and child resume after the call with different return values. The
+	// call's params are still on the parent's operand stack while the host
+	// function runs, above a value (700) the caller is holding: the clone
+	// must keep the 700 and drop the params, for fork() and for the 5-arg
+	// clone()-as-fork alike.
+	for _, nargs := range []int{0, 5} {
+		for _, tier := range []ExecTier{TierFused, TierIR, TierWire} {
+			params := make([]wasm.ValType, nargs)
+			for i := range params {
+				params[i] = wasm.I64
+			}
+			b := wasm.NewBuilder("fork")
+			forkImp := b.ImportFunc("env", "fork", params, []wasm.ValType{wasm.I32})
+			b.Memory(1, 1, false)
+			f := b.NewFunc("run", nil, []wasm.ValType{wasm.I32})
+			// v = 700 + fork(11, 12, ...); mem[(v-700)*4] = v+1; return v
+			v := f.Local(wasm.I32)
+			f.I32Const(700)
+			for i := 0; i < nargs; i++ {
+				f.I64Const(int64(11 + i))
+			}
+			f.Call(forkImp).Op(wasm.OpI32Add).LocalSet(v)
+			f.LocalGet(v).I32Const(700).Op(wasm.OpI32Sub).I32Const(4).Op(wasm.OpI32Mul)
+			f.LocalGet(v).I32Const(1).Op(wasm.OpI32Add).Store(wasm.OpI32Store, 0)
+			f.LocalGet(v)
+			f.Finish()
+
+			var child *Exec
+			l := NewLinker()
+			l.DefineFunc("env", "fork", params, []wasm.ValType{wasm.I32},
+				func(e *Exec, stack []uint64) {
+					for i := 0; i < nargs; i++ {
+						if stack[i] != uint64(11+i) {
+							t.Errorf("nargs=%d %v: param %d = %d", nargs, tier, i, stack[i])
+						}
+					}
+					ci := e.Inst.Clone()
+					child = e.CloneWith(ci)
+					child.Push(1) // child sees fork() == 1
+					stack[0] = 0
+				})
+			inst := compile(t, b, l)
+			fidx, _ := inst.Module.ExportedFunc("run")
+			pe := NewExec(inst)
+			pe.Tier = tier
+			res, err := pe.Invoke(fidx)
+			if err != nil {
+				t.Fatalf("nargs=%d %v: parent: %v", nargs, tier, err)
+			}
+			if uint32(res[0]) != 700 {
+				t.Fatalf("nargs=%d %v: parent run() = %d, want 700", nargs, tier, res[0])
+			}
+			if child == nil {
+				t.Fatal("child not cloned")
+			}
+			if err := child.Resume(); err != nil {
+				t.Fatalf("nargs=%d %v: child resume: %v", nargs, tier, err)
+			}
+			// Parent memory: mem[0] = 701. Child memory: mem[4] = 702, and
+			// the child inherited mem[0] = 0 because the clone happened
+			// before the parent's store.
+			if v, _ := inst.Mem.ReadU32(0); v != 701 {
+				t.Errorf("nargs=%d %v: parent mem[0] = %d, want 701", nargs, tier, v)
+			}
+			cm := child.Inst.Mem
+			if v, _ := cm.ReadU32(4); v != 702 {
+				t.Errorf("nargs=%d %v: child mem[4] = %d, want 702", nargs, tier, v)
+			}
+			if v, _ := cm.ReadU32(0); v != 0 {
+				t.Errorf("nargs=%d %v: child mem[0] = %d, want 0 (cloned before parent store)", nargs, tier, v)
+			}
+		}
+	}
+}
+
+func TestHostStackViewSurvivesReentry(t *testing.T) {
+	// A host function re-enters the interpreter deeply enough to reallocate
+	// the operand stack, then reads its params and writes its result
+	// through the view it was handed.
+	b := wasm.NewBuilder("reentry")
+	cb := b.ImportFunc("env", "sum_after_call", []wasm.ValType{wasm.I32, wasm.I32}, []wasm.ValType{wasm.I32})
+	big := b.NewFunc("big", nil, []wasm.ValType{wasm.I32})
+	for i := 0; i < 4096; i++ {
+		big.Local(wasm.I64)
+	}
+	big.I32Const(5)
+	bigIdx := big.Finish()
 	f := b.NewFunc("run", nil, []wasm.ValType{wasm.I32})
-	// v = fork(); mem[v*4] = v+1; return v
-	v := f.Local(wasm.I32)
-	f.Call(forkImp).LocalSet(v)
-	f.LocalGet(v).I32Const(4).Op(wasm.OpI32Mul).LocalGet(v).I32Const(1).Op(wasm.OpI32Add).Store(wasm.OpI32Store, 0)
-	f.LocalGet(v)
+	f.I32Const(1000).I32Const(20).I32Const(300).Call(cb).Op(wasm.OpI32Add)
 	f.Finish()
 
-	var child *Exec
 	l := NewLinker()
-	l.DefineFunc("env", "fork", nil, []wasm.ValType{wasm.I32},
-		func(e *Exec, args []uint64) []uint64 {
-			ci := e.Inst.Clone()
-			child = e.CloneWith(ci)
-			child.Push(1) // child sees fork() == 1
-			return []uint64{0}
+	l.DefineFunc("env", "sum_after_call", []wasm.ValType{wasm.I32, wasm.I32}, []wasm.ValType{wasm.I32},
+		func(e *Exec, stack []uint64) {
+			r := e.CallFunc(bigIdx)[0]
+			stack[0] = uint64(uint32(stack[0]) + uint32(stack[1]) + uint32(r))
 		})
 	inst := compile(t, b, l)
-	got := run1(t, inst, "run")
-	if uint32(got) != 0 {
-		t.Fatalf("parent fork() = %d, want 0", got)
+	if got := run1(t, inst, "run"); uint32(got) != 1325 {
+		t.Errorf("run = %d, want 1325", got)
 	}
-	if child == nil {
-		t.Fatal("child not cloned")
+}
+
+func TestHostResultSlotRespectsMaxStack(t *testing.T) {
+	// A 0-param, 1-result host function needs a slot the caller did not
+	// push; reserving it is subject to the value-stack limit.
+	b := wasm.NewBuilder("wide")
+	imp := b.ImportFunc("env", "one", nil, []wasm.ValType{wasm.I32})
+	f := b.NewFunc("run", nil, nil)
+	f.Finish()
+	l := NewLinker()
+	l.DefineFunc("env", "one", nil, []wasm.ValType{wasm.I32}, func(e *Exec, stack []uint64) { stack[0] = 1 })
+	inst := compile(t, b, l)
+	e := NewExec(inst)
+	if res, err := e.Invoke(imp); err != nil || len(res) != 1 || res[0] != 1 {
+		t.Fatalf("one() = %v, %v", res, err)
 	}
-	if err := child.Resume(); err != nil {
-		t.Fatalf("child resume: %v", err)
-	}
-	// Parent memory: mem[0] = 1. Child memory: mem[4] = 2, and child
-	// inherited mem[0] = 0 because the clone happened before the store.
-	if v, _ := inst.Mem.ReadU32(0); v != 1 {
-		t.Errorf("parent mem[0] = %d, want 1", v)
-	}
-	cm := child.Inst.Mem
-	if v, _ := cm.ReadU32(4); v != 2 {
-		t.Errorf("child mem[4] = %d, want 2", v)
-	}
-	if v, _ := cm.ReadU32(0); v != 0 {
-		t.Errorf("child mem[0] = %d, want 0 (cloned before parent store)", v)
+	e.MaxStack = 0
+	_, err := e.Invoke(imp)
+	var trap *Trap
+	if !errors.As(err, &trap) || trap.Code != TrapStackExhausted {
+		t.Fatalf("one() at MaxStack 0: got %v, want stack exhaustion", err)
 	}
 }
 
@@ -476,8 +553,8 @@ func TestExitPanic(t *testing.T) {
 	f.Finish()
 	l := NewLinker()
 	l.DefineFunc("env", "exit", []wasm.ValType{wasm.I32}, nil,
-		func(e *Exec, args []uint64) []uint64 {
-			panic(&Exit{Status: int32(uint32(args[0]))})
+		func(e *Exec, stack []uint64) {
+			panic(&Exit{Status: int32(uint32(stack[0]))})
 		})
 	inst := compile(t, b, l)
 	fidx, _ := inst.Module.ExportedFunc("run")

@@ -10,12 +10,18 @@ import (
 
 // HostFunc is a native function exposed to a module through the import
 // namespace. WALI syscalls, WAZI calls and WASI methods are all HostFuncs.
-// args holds raw bit patterns per the declared signature; the returned
-// slice must match the result arity. Host code traps by calling Throw or
-// panicking with *Trap, and terminates the module with panic(*Exit).
+//
+// The ABI is stack-based: stack is a view of the caller's operand stack,
+// max(len(Params), len(Results)) slots long. Parameters arrive in
+// stack[:len(Params)] as raw bit patterns and results are written to
+// stack[:len(Results)], so a call costs no allocation. The view is valid
+// until Fn returns and must not be retained; Fn may re-enter the
+// interpreter (CallFunc) before writing its results. Host code traps by
+// calling Throw or panicking with *Trap, and terminates the module with
+// panic(*Exit).
 type HostFunc struct {
 	Type wasm.FuncType
-	Fn   func(e *Exec, args []uint64) []uint64
+	Fn   func(e *Exec, stack []uint64)
 }
 
 // Linker resolves module imports at instantiation.
@@ -41,7 +47,7 @@ func NewLinker() *Linker {
 func linkKey(module, name string) string { return module + "\x00" + name }
 
 // DefineFunc registers a host function for import resolution.
-func (l *Linker) DefineFunc(module, name string, params, results []wasm.ValType, fn func(e *Exec, args []uint64) []uint64) {
+func (l *Linker) DefineFunc(module, name string, params, results []wasm.ValType, fn func(e *Exec, stack []uint64)) {
 	l.funcs[linkKey(module, name)] = HostFunc{
 		Type: wasm.FuncType{Params: params, Results: results},
 		Fn:   fn,
@@ -221,7 +227,8 @@ func (c *Compiled) Instantiate(l *Linker) (*Instance, error) {
 			}
 			inst.funcs = append(inst.funcs, resolvedFunc{
 				kind: kindHost, typ: ft, host: hf,
-				name: im.Module + "." + im.Name,
+				name:     im.Module + "." + im.Name,
+				numParam: len(ft.Params),
 			})
 		case wasm.ExternMemory:
 			mem, ok := l.mems[linkKey(im.Module, im.Name)]

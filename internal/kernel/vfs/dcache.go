@@ -21,9 +21,13 @@ import (
 //
 // Keys carry the mount ID so distinct mounts can never alias (inode
 // numbers are per-mount), and so unmount can sweep a whole mount's
-// entries; mount IDs are never reused, which makes any entry surviving
-// the sweep (an insert racing the unmount) unreachable garbage rather
-// than a stale hit for a later mount at the same path.
+// entries. Mount IDs are never reused, so an entry that outlived its
+// mount could never be served for a later mount at the same path — but
+// it could never be looked up again either, and under mount churn such
+// entries would pile up without bound. None survive: Unmount sets the
+// mount's dead flag before it sweeps, and dcachePut checks the flag under
+// the shard lock, so an insert racing the unmount either lands before the
+// sweep visits its shard (and is swept) or sees the flag (and is refused).
 const dcacheShards = 64
 
 // dcacheShardCap bounds each shard; beyond it a random entry is evicted.
@@ -57,11 +61,18 @@ func (fs *FS) dcacheGet(mnt, dir uint64, name string) *Inode {
 	return n
 }
 
-// dcachePut caches a positive lookup. Caller holds the directory's inode
-// lock in (at least) read mode.
-func (fs *FS) dcachePut(mnt, dir uint64, name string, n *Inode) {
+// dcachePut caches a positive lookup in a directory of mount m. Caller
+// holds the directory's inode lock in (at least) read mode. An insert for
+// an unmounted mount is refused; the dead check sits under the shard lock
+// so that it orders against dcacheDropMount.
+func (fs *FS) dcachePut(m *Mount, dir uint64, name string, n *Inode) {
+	mnt := m.ID
 	sh := fs.dshard(mnt, dir, name)
 	sh.mu.Lock()
+	if m.dead.Load() {
+		sh.mu.Unlock()
+		return
+	}
 	if sh.m == nil {
 		sh.m = make(map[dentKey]*Inode)
 	}
@@ -85,6 +96,7 @@ func (fs *FS) dcacheDelete(mnt, dir uint64, name string) {
 }
 
 // dcacheDropMount sweeps every entry belonging to one mount (unmount).
+// The caller has already set the mount's dead flag.
 func (fs *FS) dcacheDropMount(mnt uint64) {
 	for i := range fs.dcache {
 		sh := &fs.dcache[i]

@@ -94,21 +94,23 @@ func (fs *FS) Walk(cwd, path string, followLast bool) (WalkResult, linux.Errno) 
 // proxies — populating the cache on a hit. See dcache.go for the
 // coherence rules.
 func (fs *FS) lookup(dir *Inode, name string) (*Inode, bool) {
+	// m is nil when dir belongs to a MemFS tree whose mount is gone (an
+	// in-flight walk or a cwd that outlived Unmount). Such a tree has no
+	// mount ID to key the cache by — inode numbers of different unmounted
+	// trees would alias — so it is resolved uncached.
 	m := dir.mount()
-	var mntID uint64
 	if m != nil {
-		mntID = m.ID
-	}
-	if n := fs.dcacheGet(mntID, dir.Ino, name); n != nil {
-		return n, true
+		if n := fs.dcacheGet(m.ID, dir.Ino, name); n != nil {
+			return n, true
+		}
 	}
 	if dir.isProxy() {
 		return m.lookupProxy(fs, dir, name)
 	}
 	dir.mu.RLock()
 	c, ok := dir.children[name]
-	if ok {
-		fs.dcachePut(mntID, dir.Ino, name, c)
+	if ok && m != nil {
+		fs.dcachePut(m, dir.Ino, name, c)
 	}
 	dir.mu.RUnlock()
 	return c, ok

@@ -24,8 +24,8 @@ import (
 // consulting the table.
 type Mount struct {
 	// ID keys the dentry cache and is the st_dev guests observe; it is
-	// unique per FS for the FS's lifetime (never reused), which is what
-	// makes post-unmount dcache entries dead rather than dangerous.
+	// unique per FS for the FS's lifetime (never reused), so a later
+	// mount at the same path can never be served this mount's entries.
 	ID       uint64
 	fs       *FS
 	path     string // absolute mountpoint path ("/" for the root mount)
@@ -146,8 +146,8 @@ func (fs *FS) Mount(path string, b Backend, opts MountOptions) linux.Errno {
 // open files referencing the old mount keep working against its
 // backend (lazy unmount, as MNT_DETACH behaves); fresh walks see the
 // underlying directory. All of the mount's dentry-cache entries are
-// swept out; its mount ID is never reused, so even a racing cache
-// insert cannot make a new mount at the same path serve stale entries.
+// swept out, and the dead flag (set before the sweep, checked by
+// dcachePut under the shard lock) refuses any insert that races it.
 func (fs *FS) Unmount(path string) linux.Errno {
 	npath := normalizeAbs(path)
 	fs.mntMu.Lock()
@@ -316,7 +316,7 @@ func (m *Mount) lookupProxy(fs *FS, dir *Inode, name string) (*Inode, bool) {
 		return nil, false
 	}
 	n := m.getNode(dir, joinRel(dir.brel, name), info)
-	fs.dcachePut(m.ID, dir.Ino, name, n)
+	fs.dcachePut(m, dir.Ino, name, n)
 	return n, true
 }
 

@@ -153,14 +153,13 @@ func escapes(path string) bool {
 // reg is a convenience for registering one WASI function.
 func (l *Layer) reg(lk *interp.Linker, name string, params, results []wasm.ValType,
 	fn func(p *core.Process, st *procState, e *interp.Exec, a []uint64) uint32) {
-	lk.DefineFunc(Namespace, name, params, results, func(e *interp.Exec, a []uint64) []uint64 {
+	lk.DefineFunc(Namespace, name, params, results, func(e *interp.Exec, a []uint64) {
 		p := core.ProcessFromExec(e)
 		st := l.state(p, e)
 		r := fn(p, st, e, a)
-		if len(results) == 0 {
-			return nil
+		if len(results) > 0 {
+			a[0] = uint64(r)
 		}
-		return []uint64{uint64(r)}
 	})
 }
 
@@ -200,7 +199,7 @@ func (l *Layer) register(lk *interp.Linker) {
 	l.regPrestat(lk)
 	l.regPaths(lk)
 	l.reg(lk, "poll_oneoff", i32x4, errT, wasiPollOneoff)
-	lk.DefineFunc(Namespace, "proc_exit", i32x1, nil, func(e *interp.Exec, a []uint64) []uint64 {
+	lk.DefineFunc(Namespace, "proc_exit", i32x1, nil, func(e *interp.Exec, a []uint64) {
 		panic(&interp.Exit{Status: int32(uint32(a[0]))})
 	})
 	l.reg(lk, "random_get", i32x2, errT, wasiRandomGet)

@@ -69,13 +69,12 @@ func (w *WAZI) RegisterHost(l *interp.Linker) {
 	for _, d := range zephyr.SyscallTable() {
 		d := d
 		l.DefineFunc(Namespace, "zsys_"+d.Name, i64s(d.NArgs), res,
-			func(e *interp.Exec, args []uint64) []uint64 {
-				iargs := make([]int64, len(args))
-				for i, a := range args {
-					iargs[i] = int64(a)
+			func(e *interp.Exec, stack []uint64) {
+				var a zephyr.Args
+				for i, v := range stack[:d.NArgs] {
+					a[i] = int64(v)
 				}
-				ret := d.Fn(w.Z, memAdapter{e.Mem()}, iargs)
-				return []uint64{uint64(ret)}
+				stack[0] = uint64(d.Fn(w.Z, memAdapter{e.Mem()}, a))
 			})
 	}
 	// Domain-specific subsystems: linkable, ENOSYS at runtime — they are
@@ -88,13 +87,11 @@ func (w *WAZI) RegisterHost(l *interp.Linker) {
 		if module != Namespace || len(name) < 6 || name[:5] != "zsys_" || !domain[name[5:]] {
 			return interp.HostFunc{}, false
 		}
-		return interp.HostFunc{Type: ft, Fn: func(e *interp.Exec, args []uint64) []uint64 {
-			out := make([]uint64, len(ft.Results))
-			if len(out) > 0 {
+		return interp.HostFunc{Type: ft, Fn: func(e *interp.Exec, stack []uint64) {
+			if len(ft.Results) > 0 {
 				nosys := zephyr.RetENOSYS
-				out[0] = uint64(nosys)
+				stack[0] = uint64(nosys)
 			}
-			return out
 		}}, true
 	}
 }

@@ -223,7 +223,7 @@ func TestSRAMBudgetEnforced(t *testing.T) {
 	mem := nilMem{}
 	ok := 0
 	for i := 0; i < 200; i++ {
-		if ret := callByName(z, "k_msgq_init", mem, []int64{1024, 4}); ret > 0 {
+		if ret := callByName(z, "k_msgq_init", mem, zephyr.Args{1024, 4}); ret > 0 {
 			ok++
 		} else if ret == zephyr.RetENOMEM {
 			break
@@ -238,7 +238,7 @@ type nilMem struct{}
 
 func (nilMem) Bytes(addr, size uint32) ([]byte, bool) { return make([]byte, size), true }
 
-func callByName(z *zephyr.Kernel, name string, mem zephyr.Mem, args []int64) int64 {
+func callByName(z *zephyr.Kernel, name string, mem zephyr.Mem, args zephyr.Args) int64 {
 	for _, d := range zephyr.SyscallTable() {
 		if d.Name == name {
 			return d.Fn(z, mem, args)

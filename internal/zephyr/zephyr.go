@@ -175,8 +175,16 @@ func (z *Kernel) chargeSRAM(n int64) bool {
 	return true
 }
 
+// MaxArgs is the most arguments a Zephyr syscall passes in registers
+// (arch_syscall_invoke6).
+const MaxArgs = 6
+
+// Args holds a syscall's raw arguments, zero past its arity. Passed by
+// value so the WAZI binding converts the operand stack without allocating.
+type Args [MaxArgs]int64
+
 // Handler is one Zephyr syscall implementation.
-type Handler func(z *Kernel, mem Mem, args []int64) int64
+type Handler func(z *Kernel, mem Mem, a Args) int64
 
 // SyscallDesc is one entry of the compile-time syscall encoding: name,
 // arity, and whether a generic passthrough binding suffices (no engine
@@ -233,13 +241,13 @@ func SyscallTable() []SyscallDesc {
 		{"fs_stat", 3, true, (*Kernel).sysFsStat},
 
 		{"sys_rand_get", 2, true, (*Kernel).sysRand},
-		{"sys_reboot", 1, true, func(z *Kernel, m Mem, a []int64) int64 { return RetOK }},
+		{"sys_reboot", 1, true, func(z *Kernel, m Mem, a Args) int64 { return RetOK }},
 
 		// Engine-bridged: thread creation needs an instance-per-thread in
 		// the engine (recipe step 4), so it is not auto-generatable.
 		{"k_thread_create", 3, false, (*Kernel).sysThreadCreate},
-		{"k_thread_abort", 1, true, func(z *Kernel, m Mem, a []int64) int64 { return RetOK }},
-		{"k_thread_join", 2, true, func(z *Kernel, m Mem, a []int64) int64 { return RetOK }},
+		{"k_thread_abort", 1, true, func(z *Kernel, m Mem, a Args) int64 { return RetOK }},
+		{"k_thread_join", 2, true, func(z *Kernel, m Mem, a Args) int64 { return RetOK }},
 	}
 }
 
@@ -267,31 +275,31 @@ func DomainSpecificSyscalls() []string {
 
 // --- handlers ---
 
-func (z *Kernel) sysSleep(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSleep(mem Mem, a Args) int64 {
 	time.Sleep(time.Duration(a[0]) * time.Millisecond)
 	return RetOK
 }
 
-func (z *Kernel) sysUsleep(mem Mem, a []int64) int64 {
+func (z *Kernel) sysUsleep(mem Mem, a Args) int64 {
 	time.Sleep(time.Duration(a[0]) * time.Microsecond)
 	return RetOK
 }
 
-func (z *Kernel) sysYield(mem Mem, a []int64) int64 { return RetOK }
+func (z *Kernel) sysYield(mem Mem, a Args) int64 { return RetOK }
 
-func (z *Kernel) sysUptime(mem Mem, a []int64) int64 {
+func (z *Kernel) sysUptime(mem Mem, a Args) int64 {
 	return time.Since(z.boot).Milliseconds()
 }
 
-func (z *Kernel) sysUptimeTicks(mem Mem, a []int64) int64 {
+func (z *Kernel) sysUptimeTicks(mem Mem, a Args) int64 {
 	return time.Since(z.boot).Microseconds() * 10 // 10 MHz tick
 }
 
-func (z *Kernel) sysCycles(mem Mem, a []int64) int64 {
+func (z *Kernel) sysCycles(mem Mem, a Args) int64 {
 	return int64(uint32(time.Since(z.boot).Nanoseconds() / 5)) // 200 MHz core
 }
 
-func (z *Kernel) sysSemInit(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSemInit(mem Mem, a Args) int64 {
 	if a[1] < 0 || a[2] < a[1] {
 		return RetEINVAL
 	}
@@ -310,7 +318,7 @@ func (z *Kernel) sem(id int64) *Sem {
 	return z.sems[int32(id)]
 }
 
-func (z *Kernel) sysSemTake(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSemTake(mem Mem, a Args) int64 {
 	s := z.sem(a[0])
 	if s == nil {
 		return RetEINVAL
@@ -339,7 +347,7 @@ func (z *Kernel) sysSemTake(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysSemGive(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSemGive(mem Mem, a Args) int64 {
 	s := z.sem(a[0])
 	if s == nil {
 		return RetEINVAL
@@ -353,7 +361,7 @@ func (z *Kernel) sysSemGive(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysSemCount(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSemCount(mem Mem, a Args) int64 {
 	s := z.sem(a[0])
 	if s == nil {
 		return RetEINVAL
@@ -363,7 +371,7 @@ func (z *Kernel) sysSemCount(mem Mem, a []int64) int64 {
 	return s.count
 }
 
-func (z *Kernel) sysSemReset(mem Mem, a []int64) int64 {
+func (z *Kernel) sysSemReset(mem Mem, a Args) int64 {
 	s := z.sem(a[0])
 	if s == nil {
 		return RetEINVAL
@@ -374,7 +382,7 @@ func (z *Kernel) sysSemReset(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysMutexInit(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMutexInit(mem Mem, a Args) int64 {
 	id := z.allocID()
 	z.mu.Lock()
 	z.mutexes[id] = &Mutex{}
@@ -382,7 +390,7 @@ func (z *Kernel) sysMutexInit(mem Mem, a []int64) int64 {
 	return int64(id)
 }
 
-func (z *Kernel) sysMutexLock(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMutexLock(mem Mem, a Args) int64 {
 	z.mu.Lock()
 	m := z.mutexes[int32(a[0])]
 	z.mu.Unlock()
@@ -393,7 +401,7 @@ func (z *Kernel) sysMutexLock(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysMutexUnlock(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMutexUnlock(mem Mem, a Args) int64 {
 	z.mu.Lock()
 	m := z.mutexes[int32(a[0])]
 	z.mu.Unlock()
@@ -404,7 +412,7 @@ func (z *Kernel) sysMutexUnlock(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysMsgqInit(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMsgqInit(mem Mem, a Args) int64 {
 	if a[0] <= 0 || a[0] > 4096 || a[1] <= 0 || a[1] > 1024 {
 		return RetEINVAL
 	}
@@ -426,7 +434,7 @@ func (z *Kernel) msgq(id int64) *MsgQueue {
 	return z.queues[int32(id)]
 }
 
-func (z *Kernel) sysMsgqPut(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMsgqPut(mem Mem, a Args) int64 {
 	q := z.msgq(a[0])
 	if q == nil {
 		return RetEINVAL
@@ -450,7 +458,7 @@ func (z *Kernel) sysMsgqPut(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysMsgqGet(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMsgqGet(mem Mem, a Args) int64 {
 	q := z.msgq(a[0])
 	if q == nil {
 		return RetEINVAL
@@ -475,7 +483,7 @@ func (z *Kernel) sysMsgqGet(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysMsgqUsed(mem Mem, a []int64) int64 {
+func (z *Kernel) sysMsgqUsed(mem Mem, a Args) int64 {
 	q := z.msgq(a[0])
 	if q == nil {
 		return RetEINVAL
@@ -485,7 +493,7 @@ func (z *Kernel) sysMsgqUsed(mem Mem, a []int64) int64 {
 	return int64(len(q.msgs))
 }
 
-func (z *Kernel) sysTimerStart(mem Mem, a []int64) int64 {
+func (z *Kernel) sysTimerStart(mem Mem, a Args) int64 {
 	periodMs := a[0]
 	if periodMs <= 0 {
 		return RetEINVAL
@@ -510,7 +518,7 @@ func (z *Kernel) sysTimerStart(mem Mem, a []int64) int64 {
 	return int64(id)
 }
 
-func (z *Kernel) sysTimerStop(mem Mem, a []int64) int64 {
+func (z *Kernel) sysTimerStop(mem Mem, a Args) int64 {
 	z.mu.Lock()
 	t := z.timers[int32(a[0])]
 	delete(z.timers, int32(a[0]))
@@ -523,7 +531,7 @@ func (z *Kernel) sysTimerStop(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysTimerStatus(mem Mem, a []int64) int64 {
+func (z *Kernel) sysTimerStatus(mem Mem, a Args) int64 {
 	z.mu.Lock()
 	t := z.timers[int32(a[0])]
 	z.mu.Unlock()
@@ -537,7 +545,7 @@ func (z *Kernel) sysTimerStatus(mem Mem, a []int64) int64 {
 	return n
 }
 
-func (z *Kernel) sysConsoleOut(mem Mem, a []int64) int64 {
+func (z *Kernel) sysConsoleOut(mem Mem, a Args) int64 {
 	buf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -548,7 +556,7 @@ func (z *Kernel) sysConsoleOut(mem Mem, a []int64) int64 {
 	return int64(len(buf))
 }
 
-func (z *Kernel) sysConsoleIn(mem Mem, a []int64) int64 {
+func (z *Kernel) sysConsoleIn(mem Mem, a Args) int64 {
 	buf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -562,7 +570,7 @@ func (z *Kernel) sysConsoleIn(mem Mem, a []int64) int64 {
 
 // Flat filesystem: names are whole paths, like littlefs on small flash.
 
-func (z *Kernel) sysFsOpen(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsOpen(mem Mem, a Args) int64 {
 	nameBuf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -591,7 +599,7 @@ func cstr(b []byte) string {
 	return string(b)
 }
 
-func (z *Kernel) sysFsRead(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsRead(mem Mem, a Args) int64 {
 	buf, ok := mem.Bytes(uint32(a[1]), uint32(a[2]))
 	if !ok {
 		return RetEINVAL
@@ -611,7 +619,7 @@ func (z *Kernel) sysFsRead(mem Mem, a []int64) int64 {
 	return int64(n)
 }
 
-func (z *Kernel) sysFsWrite(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsWrite(mem Mem, a Args) int64 {
 	buf, ok := mem.Bytes(uint32(a[1]), uint32(a[2]))
 	if !ok {
 		return RetEINVAL
@@ -635,7 +643,7 @@ func (z *Kernel) sysFsWrite(mem Mem, a []int64) int64 {
 	return int64(len(buf))
 }
 
-func (z *Kernel) sysFsSeek(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsSeek(mem Mem, a Args) int64 {
 	z.fsMu.Lock()
 	defer z.fsMu.Unlock()
 	f := z.open[int32(a[0])]
@@ -658,7 +666,7 @@ func (z *Kernel) sysFsSeek(mem Mem, a []int64) int64 {
 	return f.pos
 }
 
-func (z *Kernel) sysFsClose(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsClose(mem Mem, a Args) int64 {
 	z.fsMu.Lock()
 	defer z.fsMu.Unlock()
 	if _, ok := z.open[int32(a[0])]; !ok {
@@ -668,7 +676,7 @@ func (z *Kernel) sysFsClose(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysFsUnlink(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsUnlink(mem Mem, a Args) int64 {
 	nameBuf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -683,7 +691,7 @@ func (z *Kernel) sysFsUnlink(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysFsStat(mem Mem, a []int64) int64 {
+func (z *Kernel) sysFsStat(mem Mem, a Args) int64 {
 	nameBuf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -706,7 +714,7 @@ func (z *Kernel) sysFsStat(mem Mem, a []int64) int64 {
 	return RetOK
 }
 
-func (z *Kernel) sysRand(mem Mem, a []int64) int64 {
+func (z *Kernel) sysRand(mem Mem, a Args) int64 {
 	buf, ok := mem.Bytes(uint32(a[0]), uint32(a[1]))
 	if !ok {
 		return RetEINVAL
@@ -723,7 +731,7 @@ func (z *Kernel) sysRand(mem Mem, a []int64) int64 {
 }
 
 // sysThreadCreate delegates to the engine bridge (recipe step 4).
-func (z *Kernel) sysThreadCreate(mem Mem, a []int64) int64 {
+func (z *Kernel) sysThreadCreate(mem Mem, a Args) int64 {
 	if z.ThreadSpawn == nil {
 		return RetENOSYS
 	}
