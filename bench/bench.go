@@ -10,7 +10,6 @@ import (
 
 	"gowali"
 	ib "gowali/internal/bench"
-	"gowali/internal/trace"
 )
 
 // Row and point types of the rendered artifacts.
@@ -86,10 +85,10 @@ type FleetConfig = ib.FleetConfig
 type ScaleoutConfig = ib.ScaleoutConfig
 
 // Profile is one Fig. 2 row: an application and its syscall counts.
-type Profile = trace.Profile
+type Profile = ib.Profile
 
 // Breakdown is one Fig. 7 bar: runtime split across the system stack.
-type Breakdown = trace.Breakdown
+type Breakdown = ib.Breakdown
 
 // Fig8Apps are the apps compared across virtualization backends.
 var Fig8Apps = ib.Fig8Apps

@@ -20,7 +20,6 @@ import (
 	"gowali/internal/interp"
 	"gowali/internal/kernel/snap"
 	"gowali/internal/linux"
-	"gowali/internal/trace"
 )
 
 // BenchmarkTable2Syscalls measures the per-syscall WALI overhead for the
@@ -449,7 +448,7 @@ func benchWASIEnv(b *testing.B) *wasiBenchEnv {
 // must not distort profiles).
 func BenchmarkTrace(b *testing.B) {
 	w := core.New()
-	col := trace.NewCollector()
+	col := bench.NewCollector()
 	col.Attach(w)
 	app, _ := apps.ByName("lua")
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 
 	"gowali/internal/core"
 	"gowali/internal/emu"
-	"gowali/internal/trace"
 	"gowali/internal/wasm"
 )
 
@@ -103,39 +102,6 @@ func mustApp(t *testing.T, name string) App {
 	return a
 }
 
-func TestSyscallProfilesDistinct(t *testing.T) {
-	// Each app must exercise its Table 1 "missing feature" syscall (the
-	// E1 claim: verbose mode shows calls WASI/X cannot express).
-	featureSyscall := map[string]string{
-		"bash":      "rt_sigaction",
-		"lua":       "dup",
-		"sqlite":    "mremap",
-		"memcached": "mmap",
-		"paho-mqtt": "setsockopt",
-	}
-	scales := map[string]int{"bash": 4, "lua": 8192, "sqlite": 32, "memcached": 64, "paho-mqtt": 64}
-	for _, a := range Runnable() {
-		a := a
-		t.Run(a.Name, func(t *testing.T) {
-			w := core.New()
-			col := trace.NewCollector()
-			col.Attach(w)
-			_, status, err := RunOn(w, a, scales[a.Name])
-			if err != nil || status != 0 {
-				t.Fatalf("run: status=%d err=%v", status, err)
-			}
-			counts := col.Counts()
-			want := featureSyscall[a.Name]
-			if counts[want] == 0 {
-				t.Errorf("%s never invoked %s (counts: %v)", a.Name, want, counts)
-			}
-			if col.Unique() < 5 {
-				t.Errorf("%s used only %d distinct syscalls", a.Name, col.Unique())
-			}
-		})
-	}
-}
-
 func TestTable1Shape(t *testing.T) {
 	all := All()
 	if len(all) != 17 {
@@ -205,25 +171,5 @@ func TestRISCKernelsRun(t *testing.T) {
 	}
 	if _, err := RISCFor("nope", 1); err == nil {
 		t.Error("unknown RISC kernel accepted")
-	}
-}
-
-func TestVerboseTraceE1(t *testing.T) {
-	// E1's WALI_VERBOSE: dynamic syscall lines during execution.
-	w := core.New()
-	col := trace.NewCollector()
-	var lines []string
-	col.Verbose = func(l string) { lines = append(lines, l) }
-	col.Attach(w)
-	_, status, err := RunOn(w, mustApp(t, "lua"), 4096)
-	if err != nil || status != 0 {
-		t.Fatal(err)
-	}
-	if len(lines) == 0 {
-		t.Fatal("no verbose output")
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "open(") || !strings.Contains(joined, "mmap(") {
-		t.Errorf("verbose trace missing expected syscalls")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"gowali/internal/isa"
 	"gowali/internal/kernel"
 	"gowali/internal/linux"
-	"gowali/internal/trace"
 	"gowali/internal/wasm"
 )
 
@@ -414,24 +413,24 @@ var Fig2Scales = map[string]int{
 }
 
 // Fig2Profiles runs every app under a trace collector.
-func Fig2Profiles() []trace.Profile {
-	var profiles []trace.Profile
+func Fig2Profiles() []Profile {
+	var profiles []Profile
 	for _, a := range apps.Runnable() {
 		w := newWALI()
-		col := trace.NewCollector()
+		col := NewCollector()
 		col.Attach(w)
 		_, status, err := apps.RunOn(w, a, Fig2Scales[a.Name])
 		if err != nil || status != 0 {
 			panic(fmt.Sprintf("fig2 %s: status=%d err=%v", a.Name, status, err))
 		}
-		profiles = append(profiles, trace.Profile{App: a.Name, Counts: col.Counts()})
+		profiles = append(profiles, Profile{App: a.Name, Counts: col.Counts()})
 	}
 	return profiles
 }
 
 // FormatFig2 renders the log-normalized heat rows.
-func FormatFig2(profiles []trace.Profile) string {
-	order, rows := trace.Fig2(profiles)
+func FormatFig2(profiles []Profile) string {
+	order, rows := Fig2(profiles)
 	var b strings.Builder
 	fmt.Fprintf(&b, "syscalls by aggregate frequency (%d distinct):\n  %s\n\n",
 		len(order), strings.Join(order, " "))
@@ -468,12 +467,12 @@ func FormatFig3() string {
 
 // Fig7 runs each app and attributes runtime across app/kernel/WALI using
 // the calibrated per-call dispatch overhead (a no-op syscall microbench).
-func Fig7() []trace.Breakdown {
+func Fig7() []Breakdown {
 	perCall := CalibrateDispatch(20000)
-	var out []trace.Breakdown
+	var out []Breakdown
 	for _, a := range apps.Runnable() {
 		w := newWALI()
-		col := trace.NewCollector()
+		col := NewCollector()
 		col.Attach(w)
 		start := time.Now()
 		_, status, err := apps.RunOn(w, a, Fig2Scales[a.Name])
@@ -482,7 +481,7 @@ func Fig7() []trace.Breakdown {
 			panic(fmt.Sprintf("fig7 %s: status=%d err=%v", a.Name, status, err))
 		}
 		handler, calls := col.Total()
-		out = append(out, trace.AttributeRuntime(a.Name, wall, handler, calls, perCall))
+		out = append(out, AttributeRuntime(a.Name, wall, handler, calls, perCall))
 	}
 	return out
 }
@@ -499,7 +498,7 @@ func CalibrateDispatch(iters int) time.Duration {
 }
 
 // FormatFig7 renders the stacked bars.
-func FormatFig7(rows []trace.Breakdown) string {
+func FormatFig7(rows []Breakdown) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %10s %10s\n", "App", "wasm-app%", "kernel%", "wali%")
 	for _, r := range rows {

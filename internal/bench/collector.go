@@ -1,14 +1,11 @@
-// Package trace collects syscall profiles and runtime attribution from
-// WALI runs: the machinery behind Fig. 2 (syscall profiles), Fig. 7
-// (runtime breakdown across app / kernel / WALI) and the E1 verbose mode
-// (WALI_VERBOSE-style dynamic syscall logging).
-//
-// The Collector is a thin compatibility layer over the obs metrics
-// registry (internal/obs): the sharded-map counting it used to carry
-// now lives in obs counters, so a collector's numbers appear in the
-// same registry — and the same Prometheus endpoint — as the rest of
-// the observability plane.
-package trace
+package bench
+
+// The syscall collector and the Fig. 2 / Fig. 7 arithmetic: syscall
+// profiles, runtime attribution across app / kernel / WALI, and the E1
+// verbose mode (WALI_VERBOSE-style dynamic syscall logging). Counts live
+// in obs counters, so a collector's numbers appear in the same registry
+// — and the same Prometheus endpoint — as the rest of the observability
+// plane.
 
 import (
 	"fmt"

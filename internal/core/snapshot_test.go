@@ -63,33 +63,11 @@ func warmAndReady(b *appBuilder, f *wasm.FuncBuilder) {
 	f.Drop()
 }
 
-// buildFutexServeGuest assembles the futex service guest: warm up, then
-// block in an untimed FUTEX_WAIT until the request word goes nonzero
-// (the host writes it into a parked child before resuming), answer
-// 2*req+1 and exit with req&63. The untimed wait is the point: only the
-// interruptible futex lets SIGKILL and the snapshot quiesce get the
-// guest out of it.
-func buildFutexServeGuest() *appBuilder {
-	b := newApp("futex", "getpid", "exit_group")
-	f := b.NewFunc(StartExport, nil, nil)
-	req := f.Local(wasm.I64)
-	warmAndReady(b, f)
-	f.Block()
-	f.Loop()
-	f.I32Const(stReq).Load(wasm.OpI64Load, 0).LocalTee(req)
-	f.I64Const(0).Op(wasm.OpI64Ne).BrIf(1)
-	b.call(f, "futex", stReq, linux.FUTEX_WAIT, 0, 0, 0, 0)
-	f.Drop()
-	f.Br(0)
-	f.End()
-	f.End()
-	f.I32Const(stResp)
-	f.LocalGet(req).I64Const(2).Op(wasm.OpI64Mul).I64Const(1).Op(wasm.OpI64Add)
-	f.Store(wasm.OpI64Store, 0)
-	f.LocalGet(req).I64Const(63).Op(wasm.OpI64And).Call(b.sys["exit_group"]).Drop()
-	f.Finish()
-	return b
-}
+// buildFutexServeGuest is the sleep table's futex sleeper (see
+// buildSleeper): it parks in an untimed FUTEX_WAIT on the request word.
+// The untimed wait is the point: only the interruptible futex lets
+// SIGKILL and the snapshot quiesce get the guest out of it.
+func buildFutexServeGuest() *appBuilder { return buildSleeper(sleepRowFor("futex")) }
 
 // spawnWarm spawns b's module and blocks until the guest has executed
 // its first syscall (which warmAndReady places after the warm-up).
@@ -159,39 +137,6 @@ func TestFutexWaitKilled(t *testing.T) {
 	}
 	p.RunAsync()
 	time.Sleep(10 * time.Millisecond) // let it block in the futex
-	killAndReap(t, p)
-	w.WaitAll()
-}
-
-// TestSnapshotQuiescesFutexWait: the quiesce request must pull a guest
-// out of an untimed futex wait (EINTR) so it can park at a safepoint;
-// the restored child resumes from that safepoint, sees its injected
-// request and serves it.
-func TestSnapshotQuiescesFutexWait(t *testing.T) {
-	w := New()
-	p := spawnWarm(t, w, buildFutexServeGuest(), "futexserve")
-	time.Sleep(10 * time.Millisecond) // let it block in the untimed futex
-
-	img, err := w.Snapshot(p)
-	if err != nil {
-		t.Fatalf("snapshot of futex-blocked guest: %v", err)
-	}
-	ch, err := w.Restore(img, nil)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	ch.Inst.Mem.WriteU64(stReq, 5)
-	status, runErr := ch.Resume()
-	if runErr != nil || status != 5 {
-		t.Fatalf("restored child: status=%d err=%v", status, runErr)
-	}
-	if resp, _ := ch.Inst.Mem.ReadU64(stResp); resp != 11 {
-		t.Fatalf("resp = %d, want 11", resp)
-	}
-	checkWarmRegion(t, ch.Inst.Mem.ReadU32, "restored child")
-
-	// The original survived the snapshot and is blocked again; only the
-	// interruptible futex lets the kill land.
 	killAndReap(t, p)
 	w.WaitAll()
 }

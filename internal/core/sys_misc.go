@@ -155,26 +155,27 @@ func sysClockGetres(p *Process, e *interp.Exec, a Args) int64 {
 	return 0
 }
 
+// sleepFor is the body of both sleep syscalls: sleep for ts and, when
+// remAddr is set, report the time left (zero unless interrupted).
+func sleepFor(p *Process, ts linux.Timespec, remAddr uint32) int64 {
+	rem, errno := p.KP.Nanosleep(ts)
+	if errno != 0 && errno != linux.EINTR {
+		return errnoRet(errno)
+	}
+	if remAddr != 0 {
+		if buf, ok := p.Inst.Mem.Bytes(remAddr, isa.TimespecSize); ok {
+			isa.PutTimespec(buf, rem)
+		}
+	}
+	return errnoRet(errno)
+}
+
 func sysNanosleep(p *Process, e *interp.Exec, a Args) int64 {
 	buf, ok := p.Inst.Mem.Bytes(uint32(a[0]), isa.TimespecSize)
 	if !ok {
 		return errnoRet(linux.EFAULT)
 	}
-	ts := isa.GetTimespec(buf)
-	// Sleeps release the run slot: a sleeping guest must not pin a
-	// scheduler worker (the kernel's Nanosleep is a plain host sleep).
-	p.KP.BeginBlock()
-	errno := p.W.Kernel.Nanosleep(ts)
-	p.KP.EndBlock()
-	if errno != 0 {
-		return errnoRet(errno)
-	}
-	if uint32(a[1]) != 0 {
-		if rem, ok := p.Inst.Mem.Bytes(uint32(a[1]), isa.TimespecSize); ok {
-			isa.PutTimespec(rem, linux.Timespec{})
-		}
-	}
-	return 0
+	return sleepFor(p, isa.GetTimespec(buf), uint32(a[1]))
 }
 
 func sysClockNanosleep(p *Process, e *interp.Exec, a Args) int64 {
@@ -183,6 +184,7 @@ func sysClockNanosleep(p *Process, e *interp.Exec, a Args) int64 {
 		return errnoRet(linux.EFAULT)
 	}
 	ts := isa.GetTimespec(buf)
+	remAddr := uint32(a[3])
 	const timerAbstime = 1
 	if int32(a[1])&timerAbstime != 0 {
 		now, _ := p.W.Kernel.ClockGettime(int32(a[0]))
@@ -191,11 +193,9 @@ func sysClockNanosleep(p *Process, e *interp.Exec, a Args) int64 {
 			return 0
 		}
 		ts = linux.TimespecFromNanos(delta)
+		remAddr = 0 // absolute sleeps report no remainder
 	}
-	p.KP.BeginBlock()
-	errno := p.W.Kernel.Nanosleep(ts)
-	p.KP.EndBlock()
-	return errnoRet(errno)
+	return sleepFor(p, ts, remAddr)
 }
 
 func sysGettimeofday(p *Process, e *interp.Exec, a Args) int64 {

@@ -1,63 +1,123 @@
 package kernel
 
 import (
+	"time"
+
 	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
 )
 
-// blockOn is the kernel's single signal-aware blocking primitive for
-// descriptor I/O: it retries attempt (which must behave as if
-// O_NONBLOCK were set, returning EAGAIN to keep waiting) until it
-// produces a result, parking event-driven on the file's wait queues
-// between attempts.
+// sleep is the only place a guest goroutine parks: every blocking
+// syscall — descriptor I/O, poll/select/epoll, futex, wait4, pause,
+// sigsuspend, sigtimedwait, nanosleep — is an attempt closure over it.
+// attempt must never block; it returns EAGAIN to keep waiting and
+// anything else (0 included) to finish with that result. sleep retries
+// it until it does, parked between attempts on queues() (nil = none)
+// plus the task's signal queue, and supplies in one place what every
+// such sleep needs:
 //
-// Every blocking fd syscall needs the same three properties, supplied
-// here in one place:
-//
-//   - signal interruption: the waiter is registered on the signal
-//     pollQ, so a posted signal — including the SIGKILL of a forced
-//     termination or a budget overrun sweep — turns the park into
-//     EINTR instead of a condition-variable sleep nothing can end;
-//   - scheduler integration: the sleep is bracketed by
-//     BeginBlock/EndBlock, so a scheduled guest blocked in read(2) or
-//     recvfrom(2) releases its run slot instead of pinning a worker;
-//   - no lost wakeups: queues are armed BEFORE each attempt, so a
-//     readiness edge between the attempt and the sleep lands on the
-//     waiter (the same arm-then-check protocol as poll).
-//
-// queues is re-evaluated every round because a file's wakeup sources
-// can change with its state (connect, accept, lazy datagram bind).
-// nbIO is implemented by files whose blocking behavior is supplied by
-// blockOn instead of an internal condition variable: ReadNB/WriteNB
-// always act as if O_NONBLOCK were set, and blocking reports whether
-// the descriptor wants blocking semantics at all. Files that never
-// return EAGAIN (regular files, always-ready devices) simply don't
-// implement it and keep their direct Read/Write paths.
-type nbIO interface {
-	pollWaitable
-	ReadNB(b []byte) (int, linux.Errno)
-	WriteNB(b []byte) (int, linux.Errno)
-	blocking() bool
+//   - no waiter, no allocation when the answer is already there: the
+//     first attempt runs before anything is armed;
+//   - no lost wakeups: from then on the waiter is cleared and armed
+//     BEFORE each attempt, and every state change in the kernel ends
+//     in a Wake of its queue, so an edge between the attempt and the
+//     park leaves a token on the waiter. queues is re-evaluated every
+//     round because a file's wakeup sources change with its state
+//     (connect, accept, lazy datagram bind, epoll_ctl); its result is
+//     dropped before the next call, so a caller may reuse the slice;
+//   - interruption: a deliverable signal — the SIGKILL of a forced
+//     termination or a budget-overrun sweep included — or a snapshot
+//     quiesce request ends the sleep with EINTR. Both are level
+//     conditions checked after the arm on sig.pollQ, which PostSignal,
+//     PostThreadSignal and RequestQuiesce wake, so one raised later
+//     leaves a token on the waiter;
+//   - scheduler integration: the park is bracketed by BeginBlock and
+//     EndBlock, with no lock held, so a scheduled guest gives its run
+//     slot back while it sleeps;
+//   - an optional deadline (zero = none), reported as ETIMEDOUT for
+//     the caller to map (poll: 0 ready, sigtimedwait: EAGAIN,
+//     nanosleep: 0).
+func (p *Process) sleep(queues func() []*waitq.Queue, deadline time.Time, attempt func() linux.Errno) linux.Errno {
+	if errno := attempt(); errno != linux.EAGAIN {
+		return errno
+	}
+	w := waitq.NewWaiter()
+	p.sig.pollQ.Add(w)
+	defer p.sig.pollQ.Remove(w)
+	var expired <-chan time.Time // nil (never ready) without a deadline
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		w.Clear()
+		var armed []*waitq.Queue
+		if queues != nil {
+			armed = queues()
+		}
+		for _, q := range armed {
+			q.Add(w)
+		}
+		// Sampled before the attempt, so an event that changes state and
+		// then posts a signal (a child's exit and its SIGCHLD) is seen by
+		// the attempt and wins over the EINTR.
+		interrupted := p.HasDeliverableSignal() || p.QuiesceRequested()
+		errno := attempt()
+		if errno == linux.EAGAIN && interrupted {
+			errno = linux.EINTR
+		}
+		if errno == linux.EAGAIN {
+			p.BeginBlock()
+			select {
+			case <-w.C:
+			case <-expired:
+				errno = linux.ETIMEDOUT
+			}
+			p.EndBlock()
+		}
+		for _, q := range armed {
+			q.Remove(w)
+		}
+		if errno != linux.EAGAIN {
+			return errno
+		}
+	}
 }
 
-// readBlocking performs blocking read(2) semantics over an nbIO file.
-func (p *Process) readBlocking(f nbIO, b []byte) (int, linux.Errno) {
+// fileQueues returns every wait queue whose wakeup may change f's
+// readiness; nil for files that are always ready.
+func fileQueues(f File) []*waitq.Queue {
+	if pw, ok := f.(pollWaitable); ok {
+		return pw.PollQueues()
+	}
+	return nil
+}
+
+// readFile is read(2) on an open file description. File.Read never
+// sleeps; a descriptor without O_NONBLOCK gets its blocking here.
+func (p *Process) readFile(f File, b []byte) (int, linux.Errno) {
+	if f.Flags()&linux.O_NONBLOCK != 0 {
+		return f.Read(b)
+	}
 	var n int
-	errno := p.blockOn(f.PollQueues, func() linux.Errno {
-		var e linux.Errno
-		n, e = f.ReadNB(b)
+	errno := p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() (e linux.Errno) {
+		n, e = f.Read(b)
 		return e
 	})
 	return n, errno
 }
 
-// writeBlocking performs blocking write(2) semantics over an nbIO
-// file: the whole buffer is pushed, parking on back-pressure; a signal
-// after a partial transfer returns the partial count, as Linux does.
-func (p *Process) writeBlocking(f nbIO, b []byte) (int, linux.Errno) {
+// writeFile is write(2) on an open file description: without O_NONBLOCK
+// the whole buffer is pushed, sleeping on back-pressure; a signal after
+// a partial transfer returns the partial count, as Linux does.
+func (p *Process) writeFile(f File, b []byte) (int, linux.Errno) {
+	if f.Flags()&linux.O_NONBLOCK != 0 {
+		return f.Write(b)
+	}
 	total := 0
-	errno := p.blockOn(f.PollQueues, func() linux.Errno {
-		n, e := f.WriteNB(b[total:])
+	errno := p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() linux.Errno {
+		n, e := f.Write(b[total:])
 		total += n
 		if e == 0 && total < len(b) {
 			return linux.EAGAIN // partial: keep pushing
@@ -68,43 +128,4 @@ func (p *Process) writeBlocking(f nbIO, b []byte) (int, linux.Errno) {
 		return total, 0
 	}
 	return 0, errno
-}
-
-func (p *Process) blockOn(queues func() []*waitq.Queue, attempt func() linux.Errno) linux.Errno {
-	// Fast path: the data (or a terminal condition) is already there.
-	if errno := attempt(); errno != linux.EAGAIN {
-		return errno
-	}
-	w := waitq.NewWaiter()
-	p.sig.pollQ.Add(w)
-	defer p.sig.pollQ.Remove(w)
-	var armed []*waitq.Queue
-	disarm := func() {
-		for _, q := range armed {
-			q.Remove(w)
-		}
-		armed = armed[:0]
-	}
-	for {
-		w.Clear()
-		for _, q := range queues() {
-			q.Add(w)
-			armed = append(armed, q)
-		}
-		if errno := attempt(); errno != linux.EAGAIN {
-			disarm()
-			return errno
-		}
-		// Level-triggered, so checking after the arm is sufficient: a
-		// signal posted past this point wakes w through sig.pollQ, as
-		// does a snapshot quiesce request.
-		if p.HasDeliverableSignal() || p.QuiesceRequested() {
-			disarm()
-			return linux.EINTR
-		}
-		p.BeginBlock()
-		<-w.C
-		p.EndBlock()
-		disarm()
-	}
 }

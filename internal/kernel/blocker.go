@@ -1,18 +1,15 @@
 package kernel
 
 // Blocker is the kernel's hook into the engine's guest scheduler (when
-// one is configured): instrumented blocking sites bracket their sleeps
-// with BeginBlock/EndBlock so the task's run slot is released while the
+// one is configured): the sleep primitive brackets its park with
+// BeginBlock/EndBlock so the task's run slot is released while the
 // guest is off-CPU and reacquired on wakeup. sched.Task implements it.
 //
 // Contract: both calls are made from the blocked process's own
-// goroutine with NO kernel locks held — blocking sites drop their
-// condition lock before BeginBlock and reacquire it afterwards, then
-// call EndBlock after the final unlock. EndBlock may itself block
-// (waiting for a run slot). Fd I/O blocks through blockOn, which
-// brackets its sleeps the same way; the few uninstrumented blocking
-// sites left (host dials) remain correct without these calls: the
-// scheduler's handoff watchdog reclaims their slot.
+// goroutine with NO kernel locks held. EndBlock may itself block
+// (waiting for a run slot). The few blocking sites that do not go
+// through the primitive (host dials) remain correct without these
+// calls: the scheduler's handoff watchdog reclaims their slot.
 type Blocker interface {
 	BeginBlock()
 	EndBlock()

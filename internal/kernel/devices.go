@@ -3,6 +3,7 @@ package kernel
 import (
 	"io"
 	"sync"
+	"time"
 
 	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
@@ -11,13 +12,12 @@ import (
 // ConsoleDevice is the controlling terminal: writes accumulate in an
 // inspectable buffer, reads consume from an input queue fed by FeedInput.
 type ConsoleDevice struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	out  []byte
-	in   []byte
-	eof  bool
-	ws   linux.Winsize
-	q    waitq.Queue
+	mu  sync.Mutex
+	out []byte
+	in  []byte
+	eof bool
+	ws  linux.Winsize
+	q   waitq.Queue
 
 	teeMu sync.Mutex // serializes tee writes, outside mu
 	tee   io.Writer
@@ -25,9 +25,7 @@ type ConsoleDevice struct {
 
 // NewConsoleDevice returns a console with an 80x24 window.
 func NewConsoleDevice() *ConsoleDevice {
-	c := &ConsoleDevice{ws: linux.Winsize{Row: 24, Col: 80}}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &ConsoleDevice{ws: linux.Winsize{Row: 24, Col: 80}}
 }
 
 // FeedInput appends bytes for subsequent reads.
@@ -35,7 +33,6 @@ func (c *ConsoleDevice) FeedInput(b []byte) {
 	c.mu.Lock()
 	c.in = append(c.in, b...)
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	c.q.Wake()
 }
 
@@ -44,7 +41,6 @@ func (c *ConsoleDevice) CloseInput() {
 	c.mu.Lock()
 	c.eof = true
 	c.mu.Unlock()
-	c.cond.Broadcast()
 	c.q.Wake()
 }
 
@@ -67,18 +63,29 @@ func (c *ConsoleDevice) TakeOutput() []byte {
 	return out
 }
 
-// Read implements vfs.DeviceOps.
+// Read implements vfs.DeviceOps. Guests read with nonblock set and
+// sleep in the kernel's primitive; with it unset an empty queue sleeps
+// the calling (host-side) goroutine until input or EOF arrives.
 func (c *ConsoleDevice) Read(b []byte, nonblock bool) (int, linux.Errno) {
+	if nonblock {
+		return c.read(b)
+	}
+	var n int
+	errno := c.q.Sleep(time.Time{}, func() (e linux.Errno) {
+		n, e = c.read(b)
+		return e
+	})
+	return n, errno
+}
+
+func (c *ConsoleDevice) read(b []byte) (int, linux.Errno) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.in) == 0 {
+	if len(c.in) == 0 {
 		if c.eof {
 			return 0, 0
 		}
-		if nonblock {
-			return 0, linux.EAGAIN
-		}
-		c.cond.Wait()
+		return 0, linux.EAGAIN
 	}
 	n := copy(b, c.in)
 	c.in = c.in[n:]

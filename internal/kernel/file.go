@@ -18,7 +18,11 @@ import (
 )
 
 // File is an open file description. Forked children share File instances
-// (and therefore offsets), as POSIX requires.
+// (and therefore offsets), as POSIX requires. No method sleeps: Read and
+// Write on a file that would have to wait (an empty pipe, a full socket
+// buffer, a console without input) return EAGAIN whatever its flags,
+// and Process.Read/Write/RecvFrom/SendTo/Accept supply the blocking of
+// a descriptor without O_NONBLOCK through the sleep primitive.
 type File interface {
 	Read(b []byte) (int, linux.Errno)
 	Write(b []byte) (int, linux.Errno)
@@ -226,34 +230,15 @@ func (f *pipeFile) Read(b []byte) (int, linux.Errno) {
 	if !f.readEnd {
 		return 0, linux.EBADF
 	}
-	return f.pipe.Read(b, f.nonblock())
+	return f.pipe.Read(b, true)
 }
 
 func (f *pipeFile) Write(b []byte) (int, linux.Errno) {
 	if f.readEnd {
 		return 0, linux.EBADF
 	}
-	return f.pipe.Write(b, f.nonblock())
-}
-
-// ReadNB / WriteNB / blocking implement nbIO: the Process syscall
-// layer drives blocking semantics through the signal-aware blockOn
-// loop, never the pipe's internal condition variable.
-func (f *pipeFile) ReadNB(b []byte) (int, linux.Errno) {
-	if !f.readEnd {
-		return 0, linux.EBADF
-	}
-	return f.pipe.Read(b, true)
-}
-
-func (f *pipeFile) WriteNB(b []byte) (int, linux.Errno) {
-	if f.readEnd {
-		return 0, linux.EBADF
-	}
 	return f.pipe.Write(b, true)
 }
-
-func (f *pipeFile) blocking() bool { return !f.nonblock() }
 
 func (f *pipeFile) Pread(b []byte, off int64) (int, linux.Errno)  { return 0, linux.ESPIPE }
 func (f *pipeFile) Pwrite(b []byte, off int64) (int, linux.Errno) { return 0, linux.ESPIPE }
@@ -316,10 +301,10 @@ func newDevFile(ino *vfs.Inode, path string, flags int32) *devFile {
 	return f
 }
 
-func (f *devFile) Read(b []byte) (int, linux.Errno)  { return f.dev.Read(b, f.nonblock()) }
+func (f *devFile) Read(b []byte) (int, linux.Errno)  { return f.dev.Read(b, true) }
 func (f *devFile) Write(b []byte) (int, linux.Errno) { return f.dev.Write(b) }
 func (f *devFile) Pread(b []byte, off int64) (int, linux.Errno) {
-	return f.dev.Read(b, f.nonblock())
+	return f.dev.Read(b, true)
 }
 func (f *devFile) Pwrite(b []byte, off int64) (int, linux.Errno) { return f.dev.Write(b) }
 func (f *devFile) Lseek(off int64, whence int32) (int64, linux.Errno) {
@@ -340,20 +325,6 @@ func (f *devFile) PollQueues() []*waitq.Queue {
 }
 func (f *devFile) Ioctl(cmd uint32, arg []byte) (int32, linux.Errno) {
 	return f.dev.Ioctl(cmd, arg)
-}
-
-// ReadNB / WriteNB / blocking implement nbIO for waitable devices (the
-// console): a guest blocked reading stdin parks signal-aware instead
-// of inside the device's condition variable. Devices without wait
-// queues never block, so blocking reports false and the direct path
-// serves them.
-func (f *devFile) ReadNB(b []byte) (int, linux.Errno)  { return f.dev.Read(b, true) }
-func (f *devFile) WriteNB(b []byte) (int, linux.Errno) { return f.dev.Write(b) }
-func (f *devFile) blocking() bool {
-	if _, ok := f.dev.(pollWaitable); !ok {
-		return false
-	}
-	return !f.nonblock()
 }
 
 // --- FD table ---

@@ -3,8 +3,10 @@ package kernel
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"gowali/internal/kernel/vfs"
+	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
 )
 
@@ -119,14 +121,7 @@ func (p *Process) Read(fd int32, b []byte) (int, linux.Errno) {
 	if errno != 0 {
 		return 0, errno
 	}
-	// Files with kernel-driven blocking (pipes, sockets, the console)
-	// park through the signal-aware blockOn loop, so a blocked read is
-	// interruptible and releases its scheduler slot. Everything else
-	// (regular files, always-ready devices) never blocks.
-	if nf, ok := f.(nbIO); ok && nf.blocking() {
-		return p.readBlocking(nf, b)
-	}
-	return f.Read(b)
+	return p.readFile(f, b)
 }
 
 // Write implements write(2). Writing to a read-closed pipe raises SIGPIPE
@@ -136,25 +131,28 @@ func (p *Process) Write(fd int32, b []byte) (int, linux.Errno) {
 	if errno != 0 {
 		return 0, errno
 	}
-	var n int
-	if nf, ok := f.(nbIO); ok && nf.blocking() {
-		n, errno = p.writeBlocking(nf, b)
-	} else {
-		n, errno = f.Write(b)
-	}
+	n, errno := p.writeFile(f, b)
 	if errno == linux.EPIPE {
 		p.PostSignal(linux.SIGPIPE)
 	}
 	return n, errno
 }
 
-// Pread64 implements pread64.
+// Pread64 implements pread64. Only a device that waits for input (the
+// console) can answer EAGAIN; a blocking descriptor then sleeps for it.
 func (p *Process) Pread64(fd int32, b []byte, off int64) (int, linux.Errno) {
 	f, errno := p.FDs.Get(fd)
 	if errno != 0 {
 		return 0, errno
 	}
-	return f.Pread(b, off)
+	n, errno := f.Pread(b, off)
+	if errno == linux.EAGAIN && f.Flags()&linux.O_NONBLOCK == 0 {
+		errno = p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() (e linux.Errno) {
+			n, e = f.Pread(b, off)
+			return e
+		})
+	}
+	return n, errno
 }
 
 // Pwrite64 implements pwrite64.
@@ -568,7 +566,9 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// Sendfile copies up to count bytes from infd to outfd.
+// Sendfile copies up to count bytes from infd to outfd, each chunk
+// through the read(2)/write(2) path, so a sleep on either end is
+// interruptible; an interruption after some progress returns the count.
 func (p *Process) Sendfile(outfd, infd int32, count int) (int, linux.Errno) {
 	in, errno := p.FDs.Get(infd)
 	if errno != 0 {
@@ -585,7 +585,7 @@ func (p *Process) Sendfile(outfd, infd int32, count int) (int, linux.Errno) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		r, errno := in.Read(buf[:n])
+		r, errno := p.readFile(in, buf[:n])
 		if errno != 0 {
 			if total > 0 {
 				return total, 0
@@ -595,10 +595,13 @@ func (p *Process) Sendfile(outfd, infd int32, count int) (int, linux.Errno) {
 		if r == 0 {
 			break
 		}
-		w, errno := out.Write(buf[:r])
+		w, errno := p.writeFile(out, buf[:r])
 		total += w
 		if errno != 0 {
-			return total, errno
+			if total > 0 {
+				return total, 0
+			}
+			return 0, errno
 		}
 	}
 	return total, 0

@@ -3,7 +3,6 @@ package kernel
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gowali/internal/kernel/waitq"
@@ -20,11 +19,11 @@ import (
 // — or hammering wake/wait fast paths — never contend on a kernel-wide
 // futex lock.
 //
-// Waiters park on a wait queue, the same substrate as poll and blockOn,
-// registered simultaneously on the calling process's signal pollQ — so a
-// parked futex_wait is interruptible: a posted fatal signal (SIGKILL,
-// budget-overrun sweep) or a snapshot quiesce request turns the park
-// into EINTR, as Linux does, instead of a sleep only a waker can end.
+// Waiters sleep on the word's wait queue through the kernel's sleep
+// primitive, so a parked futex_wait is interruptible: a posted fatal
+// signal (SIGKILL, budget-overrun sweep) or a snapshot quiesce request
+// turns the park into EINTR, as Linux does, instead of a sleep only a
+// waker can end.
 
 type futexKey struct {
 	space any
@@ -63,11 +62,8 @@ type futexQueue struct {
 // EAGAIN when the value already changed, ETIMEDOUT on timeout, EINTR when
 // a deliverable signal or a quiesce request interrupts the wait.
 //
-// p (nil ok for kernel-internal waits) supplies signal interruption and
-// the scheduler hook: the park is bracketed by BeginBlock/EndBlock so a
-// scheduled guest releases its run slot, and the waiter is armed on the
-// signal pollQ with the same arm → re-check → sleep protocol as blockOn,
-// so no wakeup — futex, signal or quiesce — can be lost.
+// p supplies signal interruption and the run slot; a nil p (a wait
+// made by a host-side goroutine) sleeps on the word's queue alone.
 func (k *Kernel) FutexWait(space any, addr uint32, val uint32, load func() uint32, timeout *linux.Timespec, p *Process) linux.Errno {
 	key := futexKey{space, addr}
 	sh := k.shardFor(key)
@@ -91,63 +87,32 @@ func (k *Kernel) FutexWait(space any, addr uint32, val uint32, load func() uint3
 	start := q.seq
 	sh.mu.Unlock()
 
-	w := waitq.NewWaiter()
-	q.q.Add(w)
-	if p != nil {
-		p.sig.pollQ.Add(w)
-	}
-	defer func() {
-		if p != nil {
-			p.sig.pollQ.Remove(w)
-		}
-		q.q.Remove(w)
-		sh.mu.Lock()
-		q.waiters--
-		if q.waiters == 0 {
-			delete(sh.m, key)
-		}
-		sh.mu.Unlock()
-	}()
-
-	var timedOut atomic.Bool
+	var deadline time.Time
 	if timeout != nil {
-		timer := time.AfterFunc(time.Duration(timeout.Nanos()), func() {
-			timedOut.Store(true)
-			// Over-waking the word's other waiters is indistinguishable
-			// from the spurious wakeups futex semantics permit.
-			q.q.Wake()
-		})
-		defer timer.Stop()
+		deadline = time.Now().Add(time.Duration(timeout.Nanos()))
 	}
-
-	blocked := false
-	defer func() {
-		if blocked && p != nil {
-			p.EndBlock()
-		}
-	}()
-	for {
-		// Clear-then-check: any wake landing after the Clear parks on
-		// w.C; wakes before it are visible in the state checked below.
-		w.Clear()
+	woken := func() linux.Errno {
 		sh.mu.Lock()
-		woken := q.seq != start
-		sh.mu.Unlock()
-		if woken {
+		defer sh.mu.Unlock()
+		if q.seq != start {
 			return 0
 		}
-		if timedOut.Load() {
-			return linux.ETIMEDOUT
-		}
-		if p != nil && (p.HasDeliverableSignal() || p.QuiesceRequested()) {
-			return linux.EINTR
-		}
-		if p != nil && !blocked {
-			blocked = true
-			p.BeginBlock()
-		}
-		<-w.C
+		return linux.EAGAIN
 	}
+	var errno linux.Errno
+	if p != nil {
+		errno = p.sleep(func() []*waitq.Queue { return []*waitq.Queue{&q.q} }, deadline, woken)
+	} else {
+		errno = q.q.Sleep(deadline, woken)
+	}
+
+	sh.mu.Lock()
+	q.waiters--
+	if q.waiters == 0 {
+		delete(sh.m, key)
+	}
+	sh.mu.Unlock()
+	return errno
 }
 
 // FutexWake wakes up to n waiters on (space, addr), returning the number

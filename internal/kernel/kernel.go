@@ -24,9 +24,8 @@ type netBackendBox struct{ b net.Backend }
 // There is no kernel-wide lock. Each subsystem carries its own: the PID
 // table is a read-mostly RWMutex map, futexes hash into independent
 // shard locks, the TCP-port and unix-socket registries are separate
-// mutexes, and wait4-style blocking uses a per-process condition (see
-// Process.waitMu), so activity in one subsystem — or one guest — never
-// serializes another.
+// mutexes, and wait4 sleeps on a per-process queue (Process.childQ), so
+// activity in one subsystem — or one guest — never serializes another.
 type Kernel struct {
 	FS *vfs.FS
 
@@ -230,14 +229,27 @@ func (k *Kernel) ClockGettime(clockid int32) (linux.Timespec, linux.Errno) {
 	return linux.Timespec{}, linux.EINVAL
 }
 
-// Nanosleep suspends the calling goroutine. Interruption by signals is
-// modeled for pause-style calls only; plain sleeps run to completion.
-func (k *Kernel) Nanosleep(d linux.Timespec) linux.Errno {
+// Nanosleep suspends the calling task for d: a sleep with a deadline
+// and nothing to wait for. A deliverable signal or a quiesce request
+// ends it early with EINTR and the time left, as Linux does; a sleep
+// that runs to completion returns a zero remainder.
+func (p *Process) Nanosleep(d linux.Timespec) (linux.Timespec, linux.Errno) {
 	if d.Sec < 0 || d.Nsec < 0 || d.Nsec >= 1e9 {
-		return linux.EINVAL
+		return linux.Timespec{}, linux.EINVAL
 	}
-	time.Sleep(time.Duration(d.Nanos()))
-	return 0
+	if d.Nanos() == 0 {
+		return linux.Timespec{}, 0
+	}
+	deadline := time.Now().Add(time.Duration(d.Nanos()))
+	errno := p.sleep(nil, deadline, func() linux.Errno { return linux.EAGAIN })
+	if errno == linux.ETIMEDOUT {
+		return linux.Timespec{}, 0
+	}
+	rem := time.Until(deadline)
+	if rem < 0 {
+		rem = 0
+	}
+	return linux.TimespecFromNanos(rem.Nanoseconds()), errno
 }
 
 // GetRandom fills b with deterministic pseudo-random bytes. Calls

@@ -2,6 +2,7 @@ package net
 
 import (
 	"sync"
+	"time"
 
 	"gowali/internal/kernel/vfs"
 	"gowali/internal/kernel/waitq"
@@ -121,12 +122,11 @@ func (c *pipeConn) Buffered() int { return c.rx.Buffered() }
 func (c *pipeConn) SetOpt(level, opt, val int32) {}
 
 // acceptQueue is the accept-side state machine shared by every
-// listener implementation: a bounded pending queue with blocking
-// Accept, wait-queue wakeups and orphan handoff on close. Backends
-// embed it and add their own registration/teardown around it.
+// listener implementation: a bounded pending queue, one wait-queue
+// wakeup per state change and orphan handoff on close. Backends embed
+// it and add their own registration/teardown around it.
 type acceptQueue struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	pending []pendingConn
 	closed  bool
 	q       waitq.Queue
@@ -139,7 +139,6 @@ type pendingConn struct {
 }
 
 func (a *acceptQueue) init(backlog int) {
-	a.cond = sync.NewCond(&a.mu)
 	if backlog < 1 {
 		backlog = 1
 	}
@@ -161,25 +160,35 @@ func (a *acceptQueue) push(c Conn, peer Addr) linux.Errno {
 	}
 	a.pending = append(a.pending, pendingConn{c: c, peer: peer})
 	a.mu.Unlock()
-	a.cond.Broadcast()
 	a.q.Wake()
 	return 0
 }
 
 // Accept dequeues one connection; EAGAIN when nonblock and empty,
-// EINVAL once closed and drained.
+// EINVAL once closed and drained. With nonblock unset an empty queue
+// sleeps the calling (host-side) goroutine until a connection arrives
+// or the listener closes.
 func (a *acceptQueue) Accept(nonblock bool) (Conn, Addr, linux.Errno) {
-	a.mu.Lock()
-	for len(a.pending) == 0 && !a.closed {
-		if nonblock {
-			a.mu.Unlock()
-			return nil, Addr{}, linux.EAGAIN
-		}
-		a.cond.Wait()
+	if nonblock {
+		return a.accept()
 	}
+	var pc pendingConn
+	errno := a.q.Sleep(time.Time{}, func() (e linux.Errno) {
+		pc.c, pc.peer, e = a.accept()
+		return e
+	})
+	return pc.c, pc.peer, errno
+}
+
+func (a *acceptQueue) accept() (Conn, Addr, linux.Errno) {
+	a.mu.Lock()
 	if len(a.pending) == 0 {
+		closed := a.closed
 		a.mu.Unlock()
-		return nil, Addr{}, linux.EINVAL
+		if closed {
+			return nil, Addr{}, linux.EINVAL
+		}
+		return nil, Addr{}, linux.EAGAIN
 	}
 	pc := a.pending[0]
 	a.pending = a.pending[1:]
@@ -200,7 +209,6 @@ func (a *acceptQueue) shutdown() []pendingConn {
 	orphans := a.pending
 	a.pending = nil
 	a.mu.Unlock()
-	a.cond.Broadcast()
 	a.q.Wake()
 	return orphans
 }
@@ -227,14 +235,13 @@ type datagram struct {
 }
 
 // dgramQueue is the in-process datagram socket shared by the loopback
-// and switch backends: a bounded packet queue with blocking receive
-// and wait-queue wakeups.
+// and switch backends: a bounded packet queue with one wait-queue
+// wakeup per state change.
 type dgramQueue struct {
 	owner *swNode // routes SendTo; nil only in tests
 	local Addr
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	packets []datagram
 	closed  bool
 	q       waitq.Queue
@@ -244,7 +251,6 @@ type dgramQueue struct {
 func (d *dgramQueue) init(owner *swNode, local Addr) {
 	d.owner = owner
 	d.local = local
-	d.cond = sync.NewCond(&d.mu)
 }
 
 func newDgramQueue(owner *swNode, local Addr) *dgramQueue {
@@ -267,7 +273,6 @@ func (d *dgramQueue) enqueue(from Addr, b []byte) linux.Errno {
 	}
 	d.packets = append(d.packets, datagram{from: from, data: append([]byte(nil), b...)})
 	d.mu.Unlock()
-	d.cond.Broadcast()
 	d.q.Wake()
 	return 0
 }
@@ -276,17 +281,32 @@ func (d *dgramQueue) SendTo(b []byte, to Addr) (int, linux.Errno) {
 	return d.owner.routeDgram(d.local, b, to)
 }
 
+// RecvFrom dequeues one datagram. With nonblock unset an empty queue
+// sleeps the calling (host-side) goroutine until a packet arrives or
+// the socket closes.
 func (d *dgramQueue) RecvFrom(b []byte, nonblock bool) (int, Addr, linux.Errno) {
+	if nonblock {
+		return d.recv(b)
+	}
+	var (
+		n    int
+		from Addr
+	)
+	errno := d.q.Sleep(time.Time{}, func() (e linux.Errno) {
+		n, from, e = d.recv(b)
+		return e
+	})
+	return n, from, errno
+}
+
+func (d *dgramQueue) recv(b []byte) (int, Addr, linux.Errno) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for len(d.packets) == 0 {
+	if len(d.packets) == 0 {
 		if d.closed {
 			return 0, Addr{}, 0
 		}
-		if nonblock {
-			return 0, Addr{}, linux.EAGAIN
-		}
-		d.cond.Wait()
+		return 0, Addr{}, linux.EAGAIN
 	}
 	pkt := d.packets[0]
 	d.packets = d.packets[1:]
@@ -305,7 +325,6 @@ func (d *dgramQueue) Close() linux.Errno {
 	if d.owner != nil {
 		d.owner.dropDgram(d)
 	}
-	d.cond.Broadcast()
 	d.q.Wake()
 	return 0
 }

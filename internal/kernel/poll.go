@@ -8,16 +8,14 @@ import (
 	"gowali/internal/linux"
 )
 
-// poll(2), select and epoll. Readiness is level-triggered. Blocking
-// waits are event-driven: each file exposes its wait queues through
-// the pollWaitable interface, the waiter arms on all of them (plus
-// the signal queue, for EINTR), re-checks, and sleeps until a wakeup
-// or the deadline — so a socket or pipe becoming ready turns into a
-// poll return at wakeup cost, not at the ~100µs floor of the old
-// 25µs sampling loop. Files that cannot provide queues (none of the
-// built-in types today) degrade to the sampled loop.
-
-const pollInterval = 25 * time.Microsecond
+// poll(2), select and epoll. Readiness is level-triggered, and waiting
+// for it is one scan closure over the kernel's sleep primitive: each
+// file exposes its wait queues through the pollWaitable interface, the
+// sleeper arms on all of them, re-scans, and parks until a wakeup, a
+// signal, a quiesce request or the deadline. A file that is not ready
+// and has no queue (a regular file polled for POLLPRI, an epoll fd
+// nested in a poll set) never becomes ready, so such a wait ends only
+// by timeout or EINTR, as it does on Linux.
 
 // pollWaitable is implemented by files with event-driven readiness:
 // PollQueues returns every wait queue whose wakeup may change the
@@ -33,15 +31,19 @@ type PollFD struct {
 	Revents int16
 }
 
+// deadlineAfter converts a poll-style timeout (negative = none) into
+// the sleep primitive's deadline.
+func deadlineAfter(timeoutNs int64) time.Time {
+	if timeoutNs < 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(time.Duration(timeoutNs))
+}
+
 // pollScan samples every fd once, filling Revents; returns the ready
-// count and whether every not-ready file can provide wait queues
-// (armed onto w when non-nil). Per fd the order is arm-then-check:
-// the waiter registers on the file's queues BEFORE sampling Poll(),
-// so a readiness edge between the two lands a wakeup instead of
-// falling into the no-waiter fast path and getting lost.
-func (p *Process) pollScan(fds []PollFD, w *waitq.Waiter, armed *[]*waitq.Queue) (int, bool) {
+// count.
+func (p *Process) pollScan(fds []PollFD) int {
 	ready := 0
-	eventable := true
 	for i := range fds {
 		fds[i].Revents = 0
 		if fds[i].FD < 0 {
@@ -53,112 +55,38 @@ func (p *Process) pollScan(fds []PollFD, w *waitq.Waiter, armed *[]*waitq.Queue)
 			ready++
 			continue
 		}
-		var qs []*waitq.Queue
-		if pw, ok := f.(pollWaitable); ok {
-			qs = pw.PollQueues()
-		}
-		if w != nil {
-			for _, q := range qs {
-				q.Add(w)
-				*armed = append(*armed, q)
-			}
-		}
-		ev := f.Poll()
 		mask := fds[i].Events | linux.POLLHUP | linux.POLLERR
-		if got := ev & mask; got != 0 {
+		if got := f.Poll() & mask; got != 0 {
 			fds[i].Revents = got
 			ready++
-			continue
-		}
-		if len(qs) == 0 {
-			// Not ready and nothing to arm on: this file forces the
-			// sampled fallback.
-			eventable = false
 		}
 	}
-	return ready, eventable
+	return ready
 }
 
 // Poll implements poll(2)/ppoll(2). timeoutNs < 0 blocks indefinitely.
 func (p *Process) Poll(fds []PollFD, timeoutNs int64) (int, linux.Errno) {
-	var deadline time.Time
-	if timeoutNs >= 0 {
-		deadline = time.Now().Add(time.Duration(timeoutNs))
+	var qs []*waitq.Queue // reused across rounds
+	queues := func() []*waitq.Queue {
+		qs = qs[:0]
+		for i := range fds {
+			if f, errno := p.FDs.Get(fds[i].FD); errno == 0 {
+				qs = append(qs, fileQueues(f)...)
+			}
+		}
+		return qs
 	}
-	var w *waitq.Waiter
-	var armed []*waitq.Queue
-	disarm := func() {
-		for _, q := range armed {
-			q.Remove(w)
+	ready := 0
+	errno := p.sleep(queues, deadlineAfter(timeoutNs), func() linux.Errno {
+		if ready = p.pollScan(fds); ready == 0 && timeoutNs != 0 {
+			return linux.EAGAIN
 		}
-		armed = armed[:0]
+		return 0
+	})
+	if errno == linux.ETIMEDOUT {
+		errno = 0
 	}
-	for {
-		// Arm-then-check: queues are registered during the scan, so a
-		// readiness edge after the scan still lands a wakeup.
-		if w != nil {
-			w.Clear()
-		}
-		ready, eventable := p.pollScan(fds, w, &armed)
-		if ready > 0 {
-			disarm()
-			return ready, 0
-		}
-		if timeoutNs == 0 {
-			disarm()
-			return 0, 0
-		}
-		if timeoutNs > 0 && !time.Now().Before(deadline) {
-			disarm()
-			return 0, 0
-		}
-		if p.HasDeliverableSignal() {
-			disarm()
-			return 0, linux.EINTR
-		}
-		if w == nil {
-			// First not-ready pass: build the waiter, register for
-			// signal wakeups, and rescan with arming enabled.
-			w = waitq.NewWaiter()
-			p.sig.pollQ.Add(w)
-			defer p.sig.pollQ.Remove(w)
-			continue
-		}
-		if !eventable {
-			// Mixed set with a queue-less file: sample. The slot is
-			// released around each sample sleep so a scheduled guest in
-			// a sampled poll does not pin a worker.
-			disarm()
-			p.BeginBlock()
-			time.Sleep(pollInterval)
-			p.EndBlock()
-			continue
-		}
-		// No locks are held here, so the slot release brackets the
-		// event wait directly; wakeups land on w.C regardless.
-		p.BeginBlock()
-		p.pollBlock(w, timeoutNs, deadline)
-		p.EndBlock()
-		disarm()
-	}
-}
-
-// pollBlock sleeps until a wakeup or the deadline.
-func (p *Process) pollBlock(w *waitq.Waiter, timeoutNs int64, deadline time.Time) {
-	if timeoutNs < 0 {
-		<-w.C
-		return
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-w.C:
-	case <-t.C:
-	}
+	return ready, errno
 }
 
 // Select implements select-style readiness over three fd sets expressed as
@@ -299,51 +227,16 @@ type EpollEvent struct {
 	Data   uint64
 }
 
-// epollScan samples the interest list, arming w (when non-nil) on
-// every waitable file. As in pollScan, each file is armed BEFORE its
-// readiness sample so an edge between the two cannot be lost.
-func (p *Process) epollScan(ef *EpollFile, maxEvents int, w *waitq.Waiter, armed *[]*waitq.Queue) ([]EpollEvent, bool) {
-	if w != nil {
-		// Interest-list mutations (EpollCtl) must also end the wait.
-		ef.q.Add(w)
-		*armed = append(*armed, &ef.q)
+// snapshot appends a copy of the interest list to buf. Scans work on a
+// copy because a descriptor-table teardown calls forget with the table
+// lock held, so the table cannot be consulted under e.mu.
+func (e *EpollFile) snapshot(buf []epollEntry) []epollEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, it := range e.items {
+		buf = append(buf, it)
 	}
-	ef.mu.Lock()
-	items := make([]epollEntry, 0, len(ef.items))
-	for _, it := range ef.items {
-		items = append(items, it)
-	}
-	ef.mu.Unlock()
-
-	var out []EpollEvent
-	eventable := true
-	for _, it := range items {
-		file, errno := p.FDs.Get(it.fd)
-		if errno != 0 {
-			continue
-		}
-		var qs []*waitq.Queue
-		if pw, ok := file.(pollWaitable); ok {
-			qs = pw.PollQueues()
-		}
-		if w != nil {
-			for _, q := range qs {
-				q.Add(w)
-				*armed = append(*armed, q)
-			}
-		}
-		ev := uint32(uint16(file.Poll()))
-		if got := ev & (it.events | linux.EPOLLHUP | linux.EPOLLERR); got != 0 {
-			if len(out) < maxEvents {
-				out = append(out, EpollEvent{Events: got, Data: it.data})
-			}
-			continue
-		}
-		if len(qs) == 0 {
-			eventable = false
-		}
-	}
-	return out, eventable
+	return buf
 }
 
 // EpollWait implements epoll_wait (level-triggered).
@@ -356,57 +249,44 @@ func (p *Process) EpollWait(epfd int32, maxEvents int, timeoutNs int64) ([]Epoll
 	if !ok {
 		return nil, linux.EINVAL
 	}
-	var deadline time.Time
-	if timeoutNs >= 0 {
-		deadline = time.Now().Add(time.Duration(timeoutNs))
+	var (
+		items []epollEntry   // interest-list copy, reused across rounds
+		qs    []*waitq.Queue // likewise
+		out   []EpollEvent
+	)
+	queues := func() []*waitq.Queue {
+		// ef.q first: an interest-list mutation (EpollCtl) must also
+		// end the wait, so the next round arms on the new list.
+		qs = append(qs[:0], &ef.q)
+		items = ef.snapshot(items[:0])
+		for _, it := range items {
+			if file, errno := p.FDs.Get(it.fd); errno == 0 {
+				qs = append(qs, fileQueues(file)...)
+			}
+		}
+		return qs
 	}
-	var w *waitq.Waiter
-	var armed []*waitq.Queue
-	disarm := func() {
-		for _, q := range armed {
-			q.Remove(w)
+	errno = p.sleep(queues, deadlineAfter(timeoutNs), func() linux.Errno {
+		items = ef.snapshot(items[:0])
+		for _, it := range items {
+			file, errno := p.FDs.Get(it.fd)
+			if errno != 0 {
+				continue
+			}
+			ev := uint32(uint16(file.Poll()))
+			if got := ev & (it.events | linux.EPOLLHUP | linux.EPOLLERR); got != 0 && len(out) < maxEvents {
+				out = append(out, EpollEvent{Events: got, Data: it.data})
+			}
 		}
-		armed = armed[:0]
+		if len(out) == 0 && timeoutNs != 0 {
+			return linux.EAGAIN
+		}
+		return 0
+	})
+	if errno == linux.ETIMEDOUT {
+		errno = 0
 	}
-	for {
-		if w != nil {
-			w.Clear()
-		}
-		out, eventable := p.epollScan(ef, maxEvents, w, &armed)
-		if len(out) > 0 {
-			disarm()
-			return out, 0
-		}
-		if timeoutNs == 0 {
-			disarm()
-			return nil, 0
-		}
-		if timeoutNs > 0 && !time.Now().Before(deadline) {
-			disarm()
-			return nil, 0
-		}
-		if p.HasDeliverableSignal() {
-			disarm()
-			return nil, linux.EINTR
-		}
-		if w == nil {
-			w = waitq.NewWaiter()
-			p.sig.pollQ.Add(w)
-			defer p.sig.pollQ.Remove(w)
-			continue
-		}
-		if !eventable {
-			disarm()
-			p.BeginBlock()
-			time.Sleep(pollInterval)
-			p.EndBlock()
-			continue
-		}
-		p.BeginBlock()
-		p.pollBlock(w, timeoutNs, deadline)
-		p.EndBlock()
-		disarm()
-	}
+	return out, errno
 }
 
 // --- File interface for EpollFile ---

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
 )
 
@@ -39,35 +40,11 @@ func (c *credState) clone() *credState {
 	}
 }
 
-// threadGroup tracks live threads so process teardown happens once, and
-// the member set so group-wide signals can wake exactly the blocked
-// tasks of this group (no kernel-wide thundering herd).
+// threadGroup tracks live threads so process teardown happens once.
 type threadGroup struct {
-	mu      sync.Mutex
-	count   int
-	leader  *Process
-	members map[int32]*Process
-}
-
-func (g *threadGroup) add(p *Process) {
-	g.mu.Lock()
-	g.count++
-	g.members[p.PID] = p
-	g.mu.Unlock()
-}
-
-// notifyWaiters wakes every group member blocked on its wait condition
-// (Wait4's EINTR re-check after a group-directed signal).
-func (g *threadGroup) notifyWaiters() {
-	g.mu.Lock()
-	members := make([]*Process, 0, len(g.members))
-	for _, t := range g.members {
-		members = append(members, t)
-	}
-	g.mu.Unlock()
-	for _, t := range members {
-		t.notifyWaiters()
-	}
+	mu     sync.Mutex
+	count  int
+	leader *Process
 }
 
 // Process is one schedulable task: a conventional process or a
@@ -121,38 +98,13 @@ type Process struct {
 	blocker Blocker
 
 	// quiesce is the snapshot rendezvous flag (see quiesce.go): checked
-	// at safepoints and at every interruptible blocking site.
+	// at safepoints and by the sleep primitive.
 	quiesce atomic.Bool
 
-	// Wait condition: Wait4 blocks here instead of on a kernel-wide
-	// cond, so one exit wakes only the parent (and signal posts wake
-	// only their targets). waitGen is a generation counter bumped by
-	// every notify; Wait4 snapshots it before scanning children, which
-	// closes the lost-wakeup window without holding any broader lock.
-	waitMu   sync.Mutex
-	waitCond *sync.Cond
-	waitGen  uint64
-}
-
-// initWait sets up the per-process wait condition.
-func (p *Process) initWait() {
-	p.waitCond = sync.NewCond(&p.waitMu)
-}
-
-// notifyWaiters wakes this task's Wait4 (child state change or signal).
-func (p *Process) notifyWaiters() {
-	p.waitMu.Lock()
-	p.waitGen++
-	p.waitCond.Broadcast()
-	p.waitMu.Unlock()
-}
-
-// waitGenSnapshot reads the generation counter; Wait4 re-blocks only
-// while it is unchanged.
-func (p *Process) waitGenSnapshot() uint64 {
-	p.waitMu.Lock()
-	defer p.waitMu.Unlock()
-	return p.waitGen
+	// childQ is woken when one of this task's children changes state;
+	// Wait4 sleeps on it, so an exit wakes only the parent — not every
+	// waiter in the kernel.
+	childQ waitq.Queue
 }
 
 // NewProcess creates the initial process of a WALI application: fresh fd
@@ -179,8 +131,7 @@ func (k *Kernel) NewProcess(comm string, argv, envp []string) *Process {
 		startMono: k.Monotonic(),
 		limits:    map[int32][2]uint64{linux.RLIMIT_NOFILE: {DefaultNOFILE, DefaultNOFILE}},
 	}
-	p.group = &threadGroup{count: 1, leader: p, members: map[int32]*Process{pid: p}}
-	p.initWait()
+	p.group = &threadGroup{count: 1, leader: p}
 
 	// Standard descriptors on the console tty.
 	r, errno := k.FS.Walk("/", "/dev/console", true)
@@ -225,8 +176,7 @@ func (p *Process) Fork() *Process {
 		limits:    cloneLimits(p.limits),
 	}
 	p.mu.Unlock()
-	c.group = &threadGroup{count: 1, leader: c, members: map[int32]*Process{pid: c}}
-	c.initWait()
+	c.group = &threadGroup{count: 1, leader: c}
 
 	p.mu.Lock()
 	p.children[pid] = c
@@ -266,10 +216,11 @@ func (p *Process) CloneThread() *Process {
 		limits:    p.limits,
 	}
 	p.mu.Unlock()
-	t.initWait()
 	t.sig.threaded.Store(true)
 
-	t.group.add(t)
+	t.group.mu.Lock()
+	t.group.count++
+	t.group.mu.Unlock()
 
 	k.addProc(t)
 	return t
@@ -299,7 +250,6 @@ func (p *Process) Exit(status int32) bool {
 	p.group.count--
 	last := p.group.count == 0
 	leader := p.group.leader
-	delete(p.group.members, p.PID)
 	p.group.mu.Unlock()
 
 	if p.alarmTimer != nil {
@@ -343,11 +293,10 @@ func (p *Process) Exit(status int32) bool {
 	}
 
 	if parent != nil {
-		// Wake the parent's wait before SIGCHLD generation: either alone
-		// suffices (PostSignal also notifies), but the explicit notify
-		// keeps wait4 progress independent of signal dispositions.
-		parent.group.notifyWaiters()
+		// SIGCHLD first, so a parent that returns from wait4 already
+		// sees it pending; the wake of childQ is what wait4 sleeps on.
 		parent.PostSignal(linux.SIGCHLD)
+		parent.childQ.Wake()
 	} else {
 		// No parent: init reaps immediately.
 		k.reap(leader)
@@ -364,48 +313,60 @@ func (k *Kernel) reap(p *Process) {
 	k.unregisterProcSynthetic(p.PID)
 }
 
+// findChild scans p's children for those pid selects (wait4's pid
+// argument), returning a zombie among them, if any, and whether any
+// waitable child matched at all.
+func (p *Process) findChild(pid int32) (zombie *Process, anyChild bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.children {
+		c.mu.Lock()
+		ok := false
+		switch {
+		case pid > 0:
+			ok = c.PID == pid
+		case pid == -1:
+			ok = true
+		case pid == 0:
+			ok = c.pgid == p.pgid
+		default:
+			ok = c.pgid == -pid
+		}
+		// A child a concurrent waiter has claimed (dead, about to leave
+		// the map) is no longer waitable.
+		ok = ok && c.state != stateDead
+		isZombie := c.state == stateZombie
+		c.mu.Unlock()
+		if ok {
+			anyChild = true
+			if isZombie {
+				return c, true
+			}
+		}
+	}
+	return nil, anyChild
+}
+
 // Wait4 implements wait4(pid, options): pid>0 waits for that child, -1 for
 // any, 0 for the caller's process group, <-1 for |pid|'s group. Returns
 // the reaped pid and its raw wait status.
 func (p *Process) Wait4(pid int32, options int32) (int32, int32, linux.Rusage, linux.Errno) {
-	k := p.K
-	for {
-		// Snapshot the wait generation first: any child state change or
-		// signal between the scan below and the block at the bottom bumps
-		// it, so the re-check always runs (no lost wakeups, no global
-		// lock held across the scan).
-		gen := p.waitGenSnapshot()
-
-		var match *Process
-		anyChild := false
-		p.mu.Lock()
-		for _, c := range p.children {
-			c.mu.Lock()
-			ok := false
+	var (
+		rpid, status int32
+		ru           linux.Rusage
+	)
+	errno := p.sleep(func() []*waitq.Queue { return []*waitq.Queue{&p.childQ} }, time.Time{}, func() linux.Errno {
+		for {
+			match, anyChild := p.findChild(pid)
 			switch {
-			case pid > 0:
-				ok = c.PID == pid
-			case pid == -1:
-				ok = true
-			case pid == 0:
-				ok = c.pgid == p.pgid
+			case match != nil:
+			case !anyChild:
+				return linux.ECHILD
+			case options&linux.WNOHANG != 0:
+				return 0
 			default:
-				ok = c.pgid == -pid
+				return linux.EAGAIN
 			}
-			if ok {
-				anyChild = true
-				if c.state == stateZombie {
-					match = c
-				}
-			}
-			c.mu.Unlock()
-			if match != nil {
-				break
-			}
-		}
-		p.mu.Unlock()
-
-		if match != nil {
 			// Claim the zombie by transitioning it to dead under its own
 			// lock; a concurrent waiter that lost the claim rescans.
 			match.mu.Lock()
@@ -414,8 +375,8 @@ func (p *Process) Wait4(pid int32, options int32) (int32, int32, linux.Rusage, l
 				continue
 			}
 			match.state = stateDead
-			status := match.exitSt
-			ru := linux.Rusage{
+			rpid, status = match.PID, match.exitSt
+			ru = linux.Rusage{
 				Utime: linux.TimespecFromNanos(match.utimeNs),
 				Stime: linux.TimespecFromNanos(match.stimeNs),
 			}
@@ -423,43 +384,14 @@ func (p *Process) Wait4(pid int32, options int32) (int32, int32, linux.Rusage, l
 			p.mu.Lock()
 			delete(p.children, match.PID)
 			p.mu.Unlock()
-			k.reap(match)
-			// Re-notify siblings that lost the claim race so their rescan
-			// sees the now-empty entry instead of re-blocking.
-			p.group.notifyWaiters()
-			return match.PID, status, ru, 0
+			p.K.reap(match)
+			return 0
 		}
-		if !anyChild {
-			return -1, 0, linux.Rusage{}, linux.ECHILD
-		}
-		if options&linux.WNOHANG != 0 {
-			return 0, 0, linux.Rusage{}, 0
-		}
-		// Interruptible by pending unblocked signals (EINTR) so job
-		// control works.
-		if p.HasDeliverableSignal() || p.QuiesceRequested() {
-			return -1, 0, linux.Rusage{}, linux.EINTR
-		}
-		// Block until this task is notified: its children change state or
-		// a signal targets it — not until any process anywhere exits.
-		// Release the run slot only if actually about to sleep: the
-		// generation snapshot makes the gen==gen check safe to repeat
-		// after the unlocked BeginBlock (a notify in the window bumps
-		// gen, so the second check falls through without sleeping).
-		p.waitMu.Lock()
-		if p.waitGen == gen {
-			p.waitMu.Unlock()
-			p.BeginBlock()
-			p.waitMu.Lock()
-			for p.waitGen == gen && !p.quiesce.Load() {
-				p.waitCond.Wait()
-			}
-			p.waitMu.Unlock()
-			p.EndBlock()
-		} else {
-			p.waitMu.Unlock()
-		}
+	})
+	if errno != 0 {
+		return -1, 0, linux.Rusage{}, errno
 	}
+	return rpid, status, ru, 0
 }
 
 // --- identity accessors ---

@@ -1,26 +1,20 @@
 package kernel
 
 // Quiesce: the snapshot rendezvous. A snapshotter asks a running guest to
-// park at its next safepoint by raising the quiesce flag and waking every
-// sleep the guest's thread might be in. Blocking syscalls observe the
-// flag exactly where they observe deliverable signals and return EINTR;
+// park at its next safepoint by raising the quiesce flag and waking the
+// sleep the guest's thread might be in. The sleep primitive observes the
+// flag exactly where it observes deliverable signals and returns EINTR;
 // the interpreter then reaches its next safepoint poll, where the
 // engine-side handler (core.pollSignals) performs the capture on the
 // guest's own goroutine — the only place its execution state is
 // consistent. The flag is advisory and non-destructive: after capture the
 // requester clears it and the guest resumes.
 
-// RequestQuiesce asks this process to park at its next safepoint. It
-// wakes every interruptible sleep the task may be in: fd/futex waits
-// (signal pollQ), sigsuspend/pause/sigtimedwait (signal cond) and wait4
-// (the wait condition).
+// RequestQuiesce asks this process to park at its next safepoint; a
+// sleeping task is armed on its signal queue, so one Wake reaches it.
 func (p *Process) RequestQuiesce() {
 	p.quiesce.Store(true)
 	p.sig.pollQ.Wake()
-	p.sig.mu.Lock()
-	p.sig.cond.Broadcast()
-	p.sig.mu.Unlock()
-	p.notifyWaiters()
 }
 
 // ClearQuiesce releases a parked process (snapshot finished or aborted).

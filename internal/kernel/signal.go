@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +14,6 @@ import (
 // set, shared within a thread group (CLONE_SIGHAND).
 type SignalState struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	actions [linux.NSIG + 1]linux.Sigaction
 	pending uint64  // process-directed pending bit-vector
 	queue   []int32 // delivery order for pending signals
@@ -31,9 +31,10 @@ type SignalState struct {
 	// protocols rely on it), matching the pre-fast-path behavior.
 	threaded atomic.Bool
 
-	// pollQ wakes group members blocked in event-driven poll/epoll
-	// waits so a process-directed signal turns into EINTR immediately
-	// instead of at the next readiness event.
+	// pollQ is the queue every sleeping group member is armed on (see
+	// Process.sleep): a posted signal or a quiesce request wakes it, so
+	// the sleep ends with EINTR immediately instead of at its next
+	// readiness event.
 	pollQ waitq.Queue
 }
 
@@ -46,11 +47,7 @@ func (s *SignalState) refreshFast() {
 	s.fast.Store(v)
 }
 
-func newSignalState() *SignalState {
-	s := &SignalState{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
+func newSignalState() *SignalState { return &SignalState{} }
 
 func (s *SignalState) clone() *SignalState {
 	s.mu.Lock()
@@ -156,11 +153,7 @@ func (p *Process) PostSignal(sig int32) linux.Errno {
 	}
 	s.refreshFast()
 	s.mu.Unlock()
-	s.cond.Broadcast()
 	s.pollQ.Wake()
-	// Wake only this group's blocked wait4 calls (EINTR re-check); a
-	// process-directed signal is deliverable to any thread in the group.
-	p.group.notifyWaiters()
 	return 0
 }
 
@@ -182,10 +175,7 @@ func (p *Process) PostThreadSignal(sig int32) linux.Errno {
 		p.sig.refreshFast()
 		p.sig.mu.Unlock()
 	}
-	p.sig.cond.Broadcast()
 	p.sig.pollQ.Wake()
-	// Thread-directed: only this task's wait4 needs the EINTR re-check.
-	p.notifyWaiters()
 	return 0
 }
 
@@ -329,131 +319,69 @@ func (p *Process) SigSuspend(tempMask uint64) linux.Errno {
 	p.sigMask = tempMask &^ (sigBit(linux.SIGKILL) | sigBit(linux.SIGSTOP))
 	p.mu.Unlock()
 
-	p.waitDeliverable()
+	errno := p.Pause()
 
 	p.mu.Lock()
 	p.sigMask = old
 	p.mu.Unlock()
-	return linux.EINTR
+	return errno
 }
 
-// Pause waits until any deliverable signal arrives.
+// Pause waits until any deliverable signal arrives: a sleep whose
+// attempt never succeeds, so only the primitive's EINTR ends it.
 func (p *Process) Pause() linux.Errno {
-	p.waitDeliverable()
-	return linux.EINTR
+	return p.sleep(nil, time.Time{}, func() linux.Errno { return linux.EAGAIN })
 }
 
-// waitDeliverable blocks until a deliverable signal is pending. The run
-// slot is released only when actually about to sleep: the first
-// not-deliverable check drops s.mu for BeginBlock and then rechecks —
-// the predicate is state-based (pending bits), so a signal posted in
-// the unlocked window is seen by the recheck, not lost.
-func (p *Process) waitDeliverable() {
+// takePending dequeues the lowest-numbered pending signal in set.
+func (p *Process) takePending(set uint64) (int32, bool) {
 	s := p.sig
-	blocked := false
 	s.mu.Lock()
-	for !p.hasDeliverableLocked(s) && !p.quiesce.Load() {
-		if !blocked {
-			s.mu.Unlock()
-			blocked = true
-			p.BeginBlock()
-			s.mu.Lock()
-			continue
-		}
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-	if blocked {
-		p.EndBlock()
-	}
-}
-
-// hasDeliverableLocked requires s.mu held.
-func (p *Process) hasDeliverableLocked(s *SignalState) bool {
+	defer s.mu.Unlock()
 	p.mu.Lock()
-	mask := p.sigMask
-	t := p.pendingT
-	p.mu.Unlock()
-	return (t|s.pending)&^mask != 0 || s.killed
+	defer p.mu.Unlock()
+	avail := (p.pendingT | s.pending) & set
+	if avail == 0 {
+		return 0, false
+	}
+	sig := int32(bits.TrailingZeros64(avail)) + 1
+	b := sigBit(sig)
+	p.pendingT &^= b
+	p.pendingTFast.Store(p.pendingT)
+	if s.pending&b != 0 {
+		s.pending &^= b
+		for i, q := range s.queue {
+			if q == sig {
+				s.queue = append(s.queue[:i], s.queue[i+1:]...)
+				break
+			}
+		}
+		s.refreshFast()
+	}
+	return sig, true
 }
 
 // SigTimedWait waits for one of the signals in set to become pending,
-// dequeues and returns it. A nil timeout waits forever.
+// dequeues and returns it. A nil timeout waits forever; an expired one
+// returns EAGAIN, and a deliverable signal outside set (or a quiesce
+// request) EINTR.
 func (p *Process) SigTimedWait(set uint64, timeout *linux.Timespec) (int32, linux.Errno) {
-	deadline := time.Time{}
+	var deadline time.Time
 	if timeout != nil {
 		deadline = time.Now().Add(time.Duration(timeout.Nanos()))
 	}
-	s := p.sig
-	// One BeginBlock for the whole wait, ended on any return path; the
-	// state-based pending check makes the unlocked window benign.
-	blocked := false
-	endBlock := func() {
-		if blocked {
-			p.EndBlock()
+	sig := int32(-1)
+	errno := p.sleep(nil, deadline, func() linux.Errno {
+		if got, ok := p.takePending(set); ok {
+			sig = got
+			return 0
 		}
+		return linux.EAGAIN
+	})
+	if errno == linux.ETIMEDOUT {
+		errno = linux.EAGAIN
 	}
-	for {
-		s.mu.Lock()
-		p.mu.Lock()
-		avail := (p.pendingT | s.pending) & set
-		if avail != 0 {
-			// Lowest-numbered available signal.
-			for sig := int32(1); sig <= linux.NSIG; sig++ {
-				b := sigBit(sig)
-				if avail&b == 0 {
-					continue
-				}
-				p.pendingT &^= b
-				p.pendingTFast.Store(p.pendingT)
-				if s.pending&b != 0 {
-					s.pending &^= b
-					for i, q := range s.queue {
-						if q == sig {
-							s.queue = append(s.queue[:i], s.queue[i+1:]...)
-							break
-						}
-					}
-					s.refreshFast()
-				}
-				p.mu.Unlock()
-				s.mu.Unlock()
-				endBlock()
-				return sig, 0
-			}
-		}
-		p.mu.Unlock()
-
-		if p.quiesce.Load() {
-			s.mu.Unlock()
-			endBlock()
-			return -1, linux.EINTR
-		}
-		if timeout != nil {
-			if !time.Now().Before(deadline) {
-				s.mu.Unlock()
-				endBlock()
-				return -1, linux.EAGAIN
-			}
-			// Timed wait: poll with a short sleep (the sim trades precise
-			// timer queues for simplicity).
-			s.mu.Unlock()
-			if !blocked {
-				blocked = true
-				p.BeginBlock()
-			}
-			time.Sleep(200 * time.Microsecond)
-			continue
-		}
-		if !blocked {
-			s.mu.Unlock()
-			blocked = true
-			p.BeginBlock()
-			continue
-		}
-		s.cond.Wait()
-		s.mu.Unlock()
-	}
+	return sig, errno
 }
 
 // Kill implements kill(2) semantics for pid > 0, pid == 0 (caller's

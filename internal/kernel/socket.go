@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gowali/internal/kernel/net"
 	"gowali/internal/kernel/waitq"
@@ -206,11 +207,7 @@ func (p *Process) Accept(fd int32, flags int32) (int32, SockAddr, linux.Errno) {
 	if s.nonblock() {
 		conn, peer, errno = l.Accept(true)
 	} else {
-		// Blocking accept parks signal-aware so a forced termination
-		// interrupts it instead of stranding the goroutine on the
-		// accept queue's condition variable.
-		errno = p.blockOn(s.PollQueues, func() linux.Errno {
-			var e linux.Errno
+		errno = p.sleep(s.PollQueues, time.Time{}, func() (e linux.Errno) {
 			conn, peer, e = l.Accept(true)
 			return e
 		})
@@ -356,22 +353,7 @@ func (p *Process) SendTo(fd int32, b []byte, msgFlags int32, to *SockAddr) (int,
 	if nb {
 		n, errno = conn.Write(b, true)
 	} else {
-		// Blocking send(2) pushes the whole buffer, parking signal-aware
-		// on back-pressure; a signal after a partial transfer returns
-		// the partial count, as Linux does.
-		total := 0
-		errno = p.blockOn(s.PollQueues, func() linux.Errno {
-			wn, e := conn.Write(b[total:], true)
-			total += wn
-			if e == 0 && total < len(b) {
-				return linux.EAGAIN // partial: keep pushing
-			}
-			return e
-		})
-		n = total
-		if total > 0 {
-			errno = 0
-		}
+		n, errno = p.writeFile(s, b)
 	}
 	if errno == linux.EPIPE && msgFlags&linux.MSG_NOSIGNAL == 0 {
 		p.PostSignal(linux.SIGPIPE)
@@ -388,44 +370,31 @@ func (p *Process) RecvFrom(fd int32, b []byte, msgFlags int32) (int, SockAddr, l
 	nb := s.nonblock() || msgFlags&linux.MSG_DONTWAIT != 0
 	if s.typ == linux.SOCK_DGRAM {
 		if nb {
-			return s.recvDgram(b, true)
+			return s.recvDgram(b)
 		}
 		var (
 			n    int
 			from SockAddr
 		)
-		e := p.blockOn(s.PollQueues, func() linux.Errno {
-			var errno linux.Errno
-			n, from, errno = s.recvDgram(b, true)
-			return errno
+		errno = p.sleep(s.PollQueues, time.Time{}, func() (e linux.Errno) {
+			n, from, e = s.recvDgram(b)
+			return e
 		})
-		return n, from, e
+		return n, from, errno
 	}
-	conn, shutRd, _, _ := s.connFor()
 	s.mu.Lock()
 	peer := s.peer
 	s.mu.Unlock()
-	if conn == nil {
-		return 0, SockAddr{}, linux.ENOTCONN
-	}
-	if shutRd {
-		return 0, peer, 0
-	}
-	if nb {
-		n, errno := conn.Read(b, true)
-		return n, peer, errno
-	}
-	// Blocking receive parks through blockOn: interruptible by signals
-	// (EINTR) and slot-releasing under the scheduler. The attempt
-	// re-runs conn.Read, so a shutdown or close while parked surfaces
-	// as EOF on the next pass.
+	// Socket.Read re-checks the connection and its shutdown state on
+	// every attempt, so a shutdown or close while parked surfaces as
+	// EOF on the next pass.
 	var n int
-	e := p.blockOn(s.PollQueues, func() linux.Errno {
-		var errno linux.Errno
-		n, errno = conn.Read(b, true)
-		return errno
-	})
-	return n, peer, e
+	if nb {
+		n, errno = s.Read(b)
+	} else {
+		n, errno = p.readFile(s, b)
+	}
+	return n, peer, errno
 }
 
 // ensureDgram lazily binds an unbound datagram socket to an ephemeral
@@ -480,7 +449,7 @@ func (s *Socket) sendDgram(b []byte, to *SockAddr) (int, linux.Errno) {
 	return dg.SendTo(b, dest)
 }
 
-func (s *Socket) recvDgram(b []byte, nonblock bool) (int, SockAddr, linux.Errno) {
+func (s *Socket) recvDgram(b []byte) (int, SockAddr, linux.Errno) {
 	dg, errno := s.ensureDgram()
 	if errno != 0 {
 		if errno == linux.EBADF {
@@ -488,7 +457,7 @@ func (s *Socket) recvDgram(b []byte, nonblock bool) (int, SockAddr, linux.Errno)
 		}
 		return 0, SockAddr{}, errno
 	}
-	return dg.RecvFrom(b, nonblock)
+	return dg.RecvFrom(b, true)
 }
 
 // Shutdown implements shutdown(2).
@@ -646,26 +615,7 @@ func (p *Process) GetSockOpt(fd int32, level, opt int32) (int32, linux.Errno) {
 // Read implements File.
 func (s *Socket) Read(b []byte) (int, linux.Errno) {
 	if s.typ == linux.SOCK_DGRAM {
-		n, _, errno := s.recvDgram(b, s.nonblock())
-		return n, errno
-	}
-	conn, shutRd, _, _ := s.connFor()
-	if conn == nil {
-		return 0, linux.ENOTCONN
-	}
-	if shutRd {
-		return 0, 0
-	}
-	return conn.Read(b, s.nonblock())
-}
-
-// ReadNB / WriteNB / blocking implement nbIO: the Process syscall
-// layer supplies blocking semantics through the signal-aware blockOn
-// loop, so a blocked recv parks interruptibly and releases its
-// scheduler slot rather than sleeping in a pipe condition variable.
-func (s *Socket) ReadNB(b []byte) (int, linux.Errno) {
-	if s.typ == linux.SOCK_DGRAM {
-		n, _, errno := s.recvDgram(b, true)
+		n, _, errno := s.recvDgram(b)
 		return n, errno
 	}
 	conn, shutRd, _, _ := s.connFor()
@@ -678,7 +628,8 @@ func (s *Socket) ReadNB(b []byte) (int, linux.Errno) {
 	return conn.Read(b, true)
 }
 
-func (s *Socket) WriteNB(b []byte) (int, linux.Errno) {
+// Write implements File.
+func (s *Socket) Write(b []byte) (int, linux.Errno) {
 	if s.typ == linux.SOCK_DGRAM {
 		return s.sendDgram(b, nil)
 	}
@@ -690,24 +641,6 @@ func (s *Socket) WriteNB(b []byte) (int, linux.Errno) {
 		return 0, linux.EPIPE
 	}
 	return conn.Write(b, true)
-}
-
-func (s *Socket) blocking() bool { return !s.nonblock() }
-
-// Write implements File.
-func (s *Socket) Write(b []byte) (int, linux.Errno) {
-	if s.typ == linux.SOCK_DGRAM {
-		n, errno := s.sendDgram(b, nil)
-		return n, errno
-	}
-	conn, _, shutWr, _ := s.connFor()
-	if conn == nil {
-		return 0, linux.ENOTCONN
-	}
-	if shutWr {
-		return 0, linux.EPIPE
-	}
-	return conn.Write(b, s.nonblock())
 }
 
 // Pread implements File (ESPIPE).

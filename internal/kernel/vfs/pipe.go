@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"sync"
+	"time"
 
 	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
@@ -10,16 +11,18 @@ import (
 // PipeCapacity is the default pipe buffer size, matching Linux's 64 KiB.
 const PipeCapacity = 64 * 1024
 
-// Pipe is a byte stream with POSIX pipe semantics: reads block while the
-// buffer is empty and writers remain; writes block while full and readers
+// Pipe is a byte stream with POSIX pipe semantics: reads wait while the
+// buffer is empty and writers remain; writes wait while full and readers
 // remain; EOF when all writers close; EPIPE when all readers close.
 //
-// Besides the internal condition (which serves blocking reads and
-// writes), every state change wakes the pipe's wait queue, so pollers
-// blocked on either end get event-driven readiness instead of sampling.
+// The pipe itself never parks anybody: every state change ends in one
+// Wake of its wait queue, and whoever wants to wait sleeps on that
+// queue — a guest through the kernel's sleep primitive (which calls
+// Read/Write with nonblock set), a host-side pump through the
+// nonblock=false entry points below, pollers of either end through
+// poll/epoll.
 type Pipe struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	buf     []byte
 	cap     int
 	readers int
@@ -29,103 +32,106 @@ type Pipe struct {
 
 // NewPipe returns an empty pipe with the default capacity and no
 // registered ends; callers account ends with AddReader/AddWriter.
-func NewPipe() *Pipe {
-	p := &Pipe{cap: PipeCapacity}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+func NewPipe() *Pipe { return &Pipe{cap: PipeCapacity} }
+
+// addEnds adjusts the end counts and wakes waiters to re-check them.
+func (p *Pipe) addEnds(readers, writers int) {
+	p.mu.Lock()
+	p.readers += readers
+	p.writers += writers
+	p.mu.Unlock()
+	p.q.Wake()
 }
 
 // AddReader registers a read end.
-func (p *Pipe) AddReader() {
-	p.mu.Lock()
-	p.readers++
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.q.Wake()
-}
+func (p *Pipe) AddReader() { p.addEnds(1, 0) }
 
 // AddWriter registers a write end.
-func (p *Pipe) AddWriter() {
-	p.mu.Lock()
-	p.writers++
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.q.Wake()
-}
+func (p *Pipe) AddWriter() { p.addEnds(0, 1) }
 
 // CloseReader drops a read end.
-func (p *Pipe) CloseReader() {
-	p.mu.Lock()
-	p.readers--
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.q.Wake()
-}
+func (p *Pipe) CloseReader() { p.addEnds(-1, 0) }
 
 // CloseWriter drops a write end.
-func (p *Pipe) CloseWriter() {
-	p.mu.Lock()
-	p.writers--
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.q.Wake()
+func (p *Pipe) CloseWriter() { p.addEnds(0, -1) }
+
+// Read implements pipe read semantics. A zero return with errno 0 is
+// EOF. With nonblock unset an empty pipe sleeps the calling (host-side)
+// goroutine on the pipe's queue until data or EOF arrives.
+func (p *Pipe) Read(b []byte, nonblock bool) (int, linux.Errno) {
+	if nonblock {
+		return p.read(b)
+	}
+	var n int
+	errno := p.q.Sleep(time.Time{}, func() (e linux.Errno) {
+		n, e = p.read(b)
+		return e
+	})
+	return n, errno
 }
 
-// Read implements pipe read semantics. A zero return with errno 0 is EOF.
-func (p *Pipe) Read(b []byte, nonblock bool) (int, linux.Errno) {
+func (p *Pipe) read(b []byte) (int, linux.Errno) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.buf) == 0 {
-		if p.writers == 0 {
-			return 0, 0 // EOF
+	if len(p.buf) == 0 {
+		eof := p.writers == 0
+		p.mu.Unlock()
+		if eof {
+			return 0, 0
 		}
-		if nonblock {
-			return 0, linux.EAGAIN
-		}
-		p.cond.Wait()
+		return 0, linux.EAGAIN
 	}
 	n := copy(b, p.buf)
 	p.buf = p.buf[n:]
-	p.cond.Broadcast()
+	p.mu.Unlock()
 	p.q.Wake()
 	return n, 0
 }
 
 // Write implements pipe write semantics. Writing with no readers returns
-// EPIPE (the kernel layer also raises SIGPIPE).
+// EPIPE (the kernel layer also raises SIGPIPE). With nonblock unset the
+// whole buffer is pushed, sleeping the calling (host-side) goroutine on
+// the pipe's queue while it is full.
 func (p *Pipe) Write(b []byte, nonblock bool) (int, linux.Errno) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0
-	for len(b) > 0 {
-		if p.readers == 0 {
-			if total > 0 {
-				return total, 0
-			}
-			return 0, linux.EPIPE
-		}
-		space := p.cap - len(p.buf)
-		if space == 0 {
-			if nonblock {
-				if total > 0 {
-					return total, 0
-				}
-				return 0, linux.EAGAIN
-			}
-			p.cond.Wait()
-			continue
-		}
-		n := len(b)
-		if n > space {
-			n = space
-		}
-		p.buf = append(p.buf, b[:n]...)
-		b = b[n:]
-		total += n
-		p.cond.Broadcast()
-		p.q.Wake()
+	if nonblock {
+		return p.write(b)
 	}
-	return total, 0
+	total := 0
+	errno := p.q.Sleep(time.Time{}, func() linux.Errno {
+		n, e := p.write(b[total:])
+		total += n
+		if e == 0 && total < len(b) {
+			return linux.EAGAIN // partial: keep pushing
+		}
+		return e
+	})
+	if total > 0 {
+		return total, 0
+	}
+	return 0, errno
+}
+
+// write queues what fits: EAGAIN when nothing does, EPIPE with no reader.
+func (p *Pipe) write(b []byte) (int, linux.Errno) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	p.mu.Lock()
+	if p.readers == 0 {
+		p.mu.Unlock()
+		return 0, linux.EPIPE
+	}
+	n := p.cap - len(p.buf)
+	if n > len(b) {
+		n = len(b)
+	}
+	if n == 0 {
+		p.mu.Unlock()
+		return 0, linux.EAGAIN
+	}
+	p.buf = append(p.buf, b[:n]...)
+	p.mu.Unlock()
+	p.q.Wake()
+	return n, 0
 }
 
 // Poll returns readiness bits for the given end.

@@ -11,11 +11,19 @@
 // change it advertises, so the re-check closes the lost-wakeup window.
 // Queues with no waiters — the overwhelmingly common case on data-path
 // operations — pay one atomic load per Wake.
+//
+// Two loops run that protocol and nothing else parks on a Waiter: the
+// kernel's guest sleep primitive (kernel.Process.sleep, which adds
+// signals, quiesce and run slots) and Queue.Sleep here, for goroutines
+// that are not guest tasks.
 package waitq
 
 import (
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"gowali/internal/linux"
 )
 
 // Waiter is one blocked task. C carries at most one pending wakeup;
@@ -50,28 +58,46 @@ type Queue struct {
 	// armed mirrors len(waiters) so the no-waiter Wake fast path is a
 	// single atomic load, keeping wait queues ~free for data-path
 	// operations nobody is polling.
-	armed   atomic.Int32
-	mu      sync.Mutex
-	waiters map[*Waiter]struct{}
+	armed atomic.Int32
+	mu    sync.Mutex
+	// waiters is a slice, not a set: a queue holds a handful of waiters
+	// and is armed and disarmed around every sleep, so the linear scans
+	// below are cheaper than hashing.
+	waiters []*Waiter
 }
 
-// Add arms w on q. The caller must re-check readiness after arming
-// (and before blocking) to close the lost-wakeup window.
+// index returns w's position in q.waiters, or -1; callers hold q.mu.
+func (q *Queue) index(w *Waiter) int {
+	for i, x := range q.waiters {
+		if x == w {
+			return i
+		}
+	}
+	return -1
+}
+
+// Add arms w on q (once, however often it is added). The caller must
+// re-check readiness after arming (and before blocking) to close the
+// lost-wakeup window.
 func (q *Queue) Add(w *Waiter) {
 	q.mu.Lock()
-	if q.waiters == nil {
-		q.waiters = make(map[*Waiter]struct{})
+	if q.index(w) < 0 {
+		q.waiters = append(q.waiters, w)
+		q.armed.Store(int32(len(q.waiters)))
 	}
-	q.waiters[w] = struct{}{}
-	q.armed.Store(int32(len(q.waiters)))
 	q.mu.Unlock()
 }
 
 // Remove disarms w from q. Safe to call whether or not w is armed.
 func (q *Queue) Remove(w *Waiter) {
 	q.mu.Lock()
-	delete(q.waiters, w)
-	q.armed.Store(int32(len(q.waiters)))
+	if i := q.index(w); i >= 0 {
+		last := len(q.waiters) - 1
+		q.waiters[i] = q.waiters[last]
+		q.waiters[last] = nil
+		q.waiters = q.waiters[:last]
+		q.armed.Store(int32(last))
+	}
 	q.mu.Unlock()
 }
 
@@ -83,8 +109,50 @@ func (q *Queue) Wake() {
 		return
 	}
 	q.mu.Lock()
-	for w := range q.waiters {
+	for _, w := range q.waiters {
 		w.wake()
 	}
 	q.mu.Unlock()
+}
+
+// waiters recycles the waiters Sleep parks on, so a pump that blocks
+// once per request allocates nothing per block.
+var waiters = sync.Pool{New: func() any { return NewWaiter() }}
+
+// Sleep is the blocking primitive for goroutines that are not guest
+// tasks (network pumps, benchmark probes, tests): it retries attempt —
+// which must not block, returning EAGAIN to keep waiting — until it
+// produces a result or the deadline (zero = none) passes, which yields
+// ETIMEDOUT. It is the guest primitive (kernel.Process.sleep) minus
+// signals and run slots, with the same ordering: attempt first, so a
+// ready object costs no waiter; then arm on q BEFORE every re-attempt
+// and Clear before it, so a Wake that follows a state change is either
+// seen by the attempt or left pending on the waiter.
+func (q *Queue) Sleep(deadline time.Time, attempt func() linux.Errno) linux.Errno {
+	if errno := attempt(); errno != linux.EAGAIN {
+		return errno
+	}
+	w := waiters.Get().(*Waiter)
+	q.Add(w)
+	defer func() {
+		q.Remove(w)
+		waiters.Put(w)
+	}()
+	var expired <-chan time.Time // nil (never ready) without a deadline
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		w.Clear()
+		if errno := attempt(); errno != linux.EAGAIN {
+			return errno
+		}
+		select {
+		case <-w.C:
+		case <-expired:
+			return linux.ETIMEDOUT
+		}
+	}
 }

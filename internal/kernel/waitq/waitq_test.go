@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gowali/internal/linux"
 )
 
 func TestWakeBeforeArmIsNotLost(t *testing.T) {
@@ -107,5 +109,93 @@ func TestConcurrentArmWake(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 			q.Wake() // keep nudging until everyone drains
 		}
+	}
+}
+
+// TestSleepWakeBetweenArmAndParkNotLost: a state change (and its Wake)
+// that lands after the armed re-attempt said "not ready" but before the
+// sleeper parks must still end the sleep.
+func TestSleepWakeBetweenArmAndParkNotLost(t *testing.T) {
+	var q Queue
+	ready, calls := false, 0
+	errno := q.Sleep(time.Time{}, func() linux.Errno {
+		calls++
+		if ready {
+			return 0
+		}
+		if calls == 2 { // armed: the edge arrives right behind this check
+			ready = true
+			q.Wake()
+		}
+		return linux.EAGAIN
+	})
+	if errno != 0 || calls != 3 {
+		t.Fatalf("errno=%v after %d attempts, want 0 after 3", errno, calls)
+	}
+}
+
+// TestSleepEndsOnCloseAndDeadline: a terminal condition (EOF, a closed
+// listener) ends a sleep with the attempt's own result; an expired
+// deadline ends it with ETIMEDOUT.
+func TestSleepEndsOnCloseAndDeadline(t *testing.T) {
+	var q Queue
+	var mu sync.Mutex
+	closed := false
+	go func() {
+		mu.Lock()
+		closed = true
+		mu.Unlock()
+		q.Wake()
+	}()
+	errno := q.Sleep(time.Time{}, func() linux.Errno {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed {
+			return linux.EPIPE
+		}
+		return linux.EAGAIN
+	})
+	if errno != linux.EPIPE {
+		t.Fatalf("errno=%v, want the attempt's EPIPE", errno)
+	}
+	errno = q.Sleep(time.Now().Add(time.Millisecond), func() linux.Errno { return linux.EAGAIN })
+	if errno != linux.ETIMEDOUT {
+		t.Fatalf("errno=%v, want ETIMEDOUT", errno)
+	}
+}
+
+// TestSleepPingPong bounces a token between two sleepers 1000 times:
+// every hand-off is one state change and one Wake.
+func TestSleepPingPong(t *testing.T) {
+	const rounds = 1000
+	var q [2]Queue
+	var mu sync.Mutex
+	turn := 0
+	play := func(me int) {
+		for i := 0; i < rounds; i++ {
+			q[me].Sleep(time.Time{}, func() linux.Errno {
+				mu.Lock()
+				defer mu.Unlock()
+				if turn != me {
+					return linux.EAGAIN
+				}
+				return 0
+			})
+			mu.Lock()
+			turn = 1 - me
+			mu.Unlock()
+			q[1-me].Wake()
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		play(1)
+	}()
+	play(0)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ping-pong wedged: a wakeup was lost")
 	}
 }

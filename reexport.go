@@ -1,13 +1,13 @@
 package gowali
 
 import (
+	"gowali/internal/bench"
 	"gowali/internal/core"
 	"gowali/internal/interp"
 	"gowali/internal/kernel"
 	knet "gowali/internal/kernel/net"
 	"gowali/internal/kernel/sched"
 	"gowali/internal/kernel/vfs"
-	"gowali/internal/trace"
 	"gowali/internal/wasi"
 	"gowali/internal/wasm"
 	"gowali/internal/wazi"
@@ -195,10 +195,10 @@ func NewLoopbackNet() NetBackend { return knet.NewLoopback() }
 
 // Collector accumulates syscall profiles from a run; install its Observe
 // method with WithSyscallHook.
-type Collector = trace.Collector
+type Collector = bench.Collector
 
 // NewCollector returns an empty syscall collector.
-func NewCollector() *Collector { return trace.NewCollector() }
+func NewCollector() *Collector { return bench.NewCollector() }
 
 // StartExport is the entry-point export every guest module provides.
 const StartExport = core.StartExport
