@@ -244,7 +244,7 @@ func BenchmarkAblationMmapAllocator(b *testing.B) {
 				b.Fatalf("status=%d err=%v", status, runErr)
 			}
 			if bump {
-				b.ReportMetric(float64(len(p.Inst.Mem.Data)), "mem_bytes")
+				b.ReportMetric(float64(p.Inst.Mem.Len()), "mem_bytes")
 			}
 		}
 	}
@@ -428,7 +428,7 @@ func benchWASIEnv(b *testing.B) *wasiBenchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	copy(p.Inst.Mem.Data[1000:], "bench payload")
+	p.Inst.Mem.WriteBytes(1000, []byte("bench payload"))
 	p.Inst.Mem.WriteU32(500, 1000)
 	p.Inst.Mem.WriteU32(504, 13)
 	fidx, _ := m.ExportedFunc("w_fd_write")

@@ -134,17 +134,17 @@ func newTable2Env() *table2Env {
 		panic(err)
 	}
 	// Prepared state: a file at fd, a socket pair, strings in memory.
-	copy(p.Inst.Mem.Data[1024:], "/tmp/bench.dat\x00")
-	copy(p.Inst.Mem.Data[1100:], "/tmp\x00")
+	p.Inst.Mem.WriteBytes(1024, []byte("/tmp/bench.dat\x00"))
+	p.Inst.Mem.WriteBytes(1100, []byte("/tmp\x00"))
 	p.Syscall(p.Exec, "open", 1024, linux.O_CREAT|linux.O_RDWR, 0o644) // fd 3
 	p.Syscall(p.Exec, "write", 3, 1024, 8)
 	p.KP.SocketPair(linux.AF_UNIX, linux.SOCK_STREAM, 0) // fds 4,5
 	p.Syscall(p.Exec, "write", 5, 1024, 4)               // data for recvfrom
-	copy(p.Inst.Mem.Data[1150:], "/dev/null\x00")
+	p.Inst.Mem.WriteBytes(1150, []byte("/dev/null\x00"))
 	p.Syscall(p.Exec, "open", 1150, linux.O_RDWR, 0) // fd 6: steady-state I/O target
 	// pollfd at 1200: fd 3, POLLIN|POLLOUT.
 	p.Inst.Mem.WriteU32(1200, 3)
-	p.Inst.Mem.Data[1204] = linux.POLLIN | linux.POLLOUT
+	p.Inst.Mem.WriteBytes(1204, []byte{linux.POLLIN | linux.POLLOUT})
 	return &table2Env{w: w, p: p, e: p.Exec}
 }
 
@@ -638,7 +638,7 @@ func Fig8Mem() []Fig8MemRow {
 		}
 		p.Run()
 		w.WaitAll()
-		rows = append(rows, Fig8MemRow{name, BackendWALI, int64(len(p.Inst.Mem.Data)) + 1<<18})
+		rows = append(rows, Fig8MemRow{name, BackendWALI, int64(p.Inst.Mem.Len()) + 1<<18})
 
 		// Docker: overlay + namespace overhead + native workload.
 		rt := container.NewRuntime()

@@ -80,7 +80,7 @@ func pageUp(v uint32) uint32 {
 // ensureBase lazily sets the pool base to the current memory size.
 func (p *MmapPool) ensureBase() {
 	if p.base == 0 {
-		p.base = pageUp(uint32(len(p.mem.Data)))
+		p.base = pageUp(uint32(p.mem.Len()))
 		if p.base == 0 {
 			p.base = MapGranularity
 		}
@@ -92,7 +92,7 @@ func (p *MmapPool) ensureBase() {
 // ensureMemory grows linear memory to cover [0, end).
 func (p *MmapPool) ensureMemory(end uint32) linux.Errno {
 	need := uint64(end)
-	cur := uint64(len(p.mem.Data))
+	cur := p.mem.Len()
 	if need <= cur {
 		return 0
 	}
@@ -165,21 +165,17 @@ func (p *MmapPool) Map(addr uint32, length uint32, prot, flags int32, file kerne
 	}
 
 	// Fresh anonymous contents are zero; MAP_FIXED reuse must re-zero.
-	// All content writes go through the cow-aware Memory helpers so a
-	// restored guest's mmap traffic dirties pages instead of writing
-	// through the shared snapshot base.
+	// All content moves go through the Memory bulk helpers, which work
+	// on either form: a guest still on the page overlay dirties the pages
+	// its mappings touch instead of writing through a shared one.
 	p.mem.ZeroRange(addr, ln)
 	if file != nil && flags&linux.MAP_ANONYMOUS == 0 {
-		if p.mem.CowActive() {
-			buf := make([]byte, ln)
-			n, errno := file.Pread(buf, offset)
-			if errno != 0 && n == 0 {
-				return 0, errno
-			}
-			p.mem.WriteBytes(addr, buf[:n])
-		} else if n, errno := file.Pread(p.mem.Data[addr:addr+ln], offset); errno != 0 && n == 0 {
+		buf := make([]byte, ln)
+		n, errno := file.Pread(buf, offset)
+		if errno != 0 && n == 0 {
 			return 0, errno
 		}
+		p.mem.WriteBytes(addr, buf[:n])
 	}
 	p.regions = append(p.regions, &Region{
 		Addr: addr, Len: ln, Prot: prot, Flags: flags, File: file, Offset: offset,
@@ -228,17 +224,10 @@ func (p *MmapPool) syncRegionLocked(r *Region) {
 	if r.File == nil || r.Flags&linux.MAP_SHARED == 0 {
 		return
 	}
-	end := uint64(r.Addr) + uint64(r.Len)
-	if end > uint64(len(p.mem.Data)) {
-		return
-	}
-	if p.mem.CowActive() {
-		buf := make([]byte, r.Len)
-		p.mem.ReadBytes(r.Addr, buf)
+	buf := make([]byte, r.Len)
+	if p.mem.ReadBytes(r.Addr, buf) {
 		r.File.Pwrite(buf, r.Offset)
-		return
 	}
-	r.File.Pwrite(p.mem.Data[r.Addr:end], r.Offset)
 }
 
 // Unmap implements munmap.

@@ -28,8 +28,10 @@ func TestPoolMapUnmapBasics(t *testing.T) {
 		t.Fatal("mapping outside memory")
 	}
 	// Contents zeroed.
-	for i := uint32(0); i < 10000; i += 997 {
-		if mem.Data[a+i] != 0 {
+	got := make([]byte, 10000)
+	mem.ReadBytes(a, got)
+	for i := 0; i < len(got); i += 997 {
+		if got[i] != 0 {
 			t.Fatalf("byte %d not zero", i)
 		}
 	}
@@ -164,11 +166,12 @@ func TestPoolFileBackedSync(t *testing.T) {
 		t.Fatalf("file map: %v", errno)
 	}
 	// File contents visible.
-	if string(mem.Data[a:a+4]) != "0123" {
-		t.Fatalf("mapped contents %q", mem.Data[a:a+4])
+	got := make([]byte, 4)
+	if mem.ReadBytes(a, got); string(got) != "0123" {
+		t.Fatalf("mapped contents %q", got)
 	}
 	// Modify through memory, then msync → file updated.
-	copy(mem.Data[a:], "XYZ")
+	mem.WriteBytes(a, []byte("XYZ"))
 	p.Sync(a, 4096)
 	buf := make([]byte, 4)
 	kp.Pread64(fd, buf, 0)

@@ -52,9 +52,9 @@ func (w *WALI) observeSnapOp(kind obs.Kind, hist string, pid int32, dur time.Dur
 	}
 }
 
-// installCowObserver hooks a restored copy-on-write memory so page
-// materializations are counted and traced. The hook rides the
-// materialize slow path only; the per-access CoW barrier is untouched.
+// installCowObserver hooks a process's linear memory so the pages its
+// overlay materializes are counted and traced. The hook rides the
+// materialize slow path only; the per-access barrier is untouched.
 func (w *WALI) installCowObserver(mem *interp.Memory, pid int32) {
 	if w.Trace == nil && w.Metrics == nil {
 		return

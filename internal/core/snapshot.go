@@ -229,54 +229,31 @@ func (w *WALI) Restore(img *snap.Image, tenant *sched.Tenant) (*Process, error) 
 		return nil, err
 	}
 
-	var charge *memCharge
-	var reserve func(int64) bool
-	if tenant != nil {
-		charge = newMemCharge(tenant, 0)
-		reserve = charge.reserve
-	}
-	mem := interp.NewCowMemory(img.Mem.Data, img.Mem.MaxLen, reserve)
-	w.installCowObserver(mem, kp.PID)
+	mem := interp.NewCowMemory(img.Mem.Data, img.Mem.MaxLen, nil)
 	inst := ent.proto.Rehydrate(mem, img.Globals, img.Table)
-
-	p := &Process{
-		W:        w,
-		KP:       kp,
-		Inst:     inst,
-		Module:   ent.c.Module,
-		compiled: ent.c,
-		argv:     append([]string(nil), img.Kernel.Argv...),
-		env:      append([]string(nil), img.Kernel.Envp...),
-		Sig:      restoreSigtable(&img.Sig),
-		Tenant:   tenant,
-		charge:   charge,
-		done:     make(chan struct{}),
-	}
 	pool, err := restoreMmapPool(mem, &img.Mmap, w.Kernel)
 	if err != nil {
 		kp.Exit(127)
 		return nil, err
 	}
-	p.Pool = pool
-	p.Exec = interp.NewExec(inst)
-	p.Exec.Scheme = w.Scheme
-	p.Exec.Tier = w.Tier
-	p.Exec.HostCtx = p
-	p.Exec.Poll = p.pollSignals
-	inst.HostCtx = p
+	p := &Process{
+		W:      w,
+		KP:     kp,
+		argv:   append([]string(nil), img.Kernel.Argv...),
+		env:    append([]string(nil), img.Kernel.Envp...),
+		Sig:    restoreSigtable(&img.Sig),
+		Tenant: tenant,
+		done:   make(chan struct{}),
+	}
+	if err := p.adopt(ent.c, inst, pool); err != nil {
+		kp.Exit(127)
+		return nil, err
+	}
 	if err := p.Exec.RestoreState(&img.Exec); err != nil {
 		kp.Exit(127)
 		return nil, fmt.Errorf("wali: restore: %w", err)
 	}
-	if tenant != nil {
-		kp.FDs.SetReserver(tenant)
-		tenant.ForceFDs(kp.FDs.Count())
-	}
-	p.attachTask()
-
-	w.mu.Lock()
-	w.procs[kp.PID] = p
-	w.mu.Unlock()
+	w.admit(p)
 	w.observeSnapOp(obs.EvRestore, "wali_restore_ns", kp.PID, time.Since(restoreStart))
 	return p, nil
 }

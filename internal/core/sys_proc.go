@@ -65,10 +65,10 @@ func init() {
 // clone of instance and execution (§3.1 1-to-1 model). The clone resumes
 // on its own goroutine; the parent returns the child pid, the child 0.
 func sysFork(p *Process, e *interp.Exec, a Args) int64 {
-	// Budget gate: the child duplicates the address space, so its full
-	// size is reserved against the tenant before cloning; Linux reports
-	// fork failure for exceeded resource ceilings as EAGAIN.
-	if p.Tenant != nil && !p.Tenant.ReserveMemory(int64(len(p.Inst.Mem.Data))) {
+	// Budget gate: the child duplicates the address space's private
+	// pages, so that much is reserved against the tenant before cloning;
+	// Linux reports fork failure for exceeded resource ceilings as EAGAIN.
+	if p.Tenant != nil && !p.Tenant.ReserveMemory(privateBytes(p.Inst.Mem)) {
 		return errnoRet(linux.EAGAIN)
 	}
 	c := p.forkChild(e)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"gowali/internal/interp"
@@ -12,9 +11,12 @@ import (
 // Tenant/budget glue: how sched.Tenant ceilings attach to the engine's
 // existing accounting boundaries.
 //
-//   - Memory: the tenant is charged for every process's linear memory at
-//     spawn/fork/exec and at every growth site via interp.Memory.Reserve
-//     — memory.grow, mmap, brk and mremap all funnel through Memory.Grow,
+//   - Memory: the tenant is charged for the private bytes of every
+//     process's linear memory: what it holds at spawn/exec/restore/fork
+//     (Process.adopt, forkChild), then through interp.Memory.Reserve one
+//     page at a time as the page overlay materializes pages, the
+//     remaining clean pages when it collapses, and every growth —
+//     memory.grow, mmap, brk and mremap all funnel through Memory.Grow,
 //     so one hook covers them all. The charge is tracked per address
 //     space (memCharge, shared by CLONE_THREAD siblings) and released
 //     when the last thread of the group exits.
@@ -88,27 +90,6 @@ func (w *WALI) killTenant(t *sched.Tenant) {
 func (w *WALI) SpawnCompiledTenant(c *interp.Compiled, name string, argv, env []string, tenant *sched.Tenant) (*Process, error) {
 	kp := w.Kernel.NewProcess(name, argv, env)
 	return w.newProcess(kp, c, argv, env, tenant)
-}
-
-// attachBudget joins a freshly spawned process to its tenant: charges
-// the initial linear memory, installs the growth hook, and puts the
-// descriptor table under the tenant's cap (force-charging the stdio
-// descriptors already open). Fork children wire themselves in forkChild
-// instead — their fd inheritance is force-charged by FDTable.Clone.
-func (p *Process) attachBudget(tenant *sched.Tenant) error {
-	p.Tenant = tenant
-	if tenant == nil {
-		return nil
-	}
-	n := int64(len(p.Inst.Mem.Data))
-	if !tenant.ReserveMemory(n) {
-		return fmt.Errorf("wali: tenant %q: memory budget exhausted", tenant.Name())
-	}
-	p.charge = newMemCharge(tenant, n)
-	p.Inst.Mem.Reserve = p.charge.reserve
-	p.KP.FDs.SetReserver(tenant)
-	tenant.ForceFDs(p.KP.FDs.Count())
-	return nil
 }
 
 // attachTask registers the process with the scheduler (when one is

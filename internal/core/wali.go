@@ -325,38 +325,83 @@ func (w *WALI) loadModule(path string) (*interp.Compiled, error) {
 // newProcess wires a module instance to a kernel task.
 func (w *WALI) newProcess(kp *kernel.Process, c *interp.Compiled, argv, env []string, tenant *sched.Tenant) (*Process, error) {
 	p := &Process{
-		W:        w,
-		KP:       kp,
-		Module:   c.Module,
-		compiled: c,
-		argv:     argv,
-		env:      env,
-		Sig:      NewSigtable(),
-		done:     make(chan struct{}),
+		W:      w,
+		KP:     kp,
+		argv:   argv,
+		env:    env,
+		Sig:    NewSigtable(),
+		Tenant: tenant,
+		done:   make(chan struct{}),
 	}
 	inst, err := c.Instantiate(w.hostLinker())
 	if err != nil {
 		return nil, err
 	}
+	if err := p.adopt(c, inst, NewMmapPool(inst.Mem)); err != nil {
+		return nil, err
+	}
+	w.admit(p)
+	return p, nil
+}
+
+// adopt makes inst the process's image: the one place a spawned, exec'd
+// or restored process gets its address-space charge, page-fault observer,
+// mmap pool and execution context. The tenant is charged for the private
+// bytes the memory already holds (the pages instantiation wrote, nothing
+// for a restored image) and from then on page by page through
+// Memory.Reserve; an image being replaced (execve) gives its charge back
+// only after the new one is reserved — the two address spaces briefly
+// coexist, exactly as during a real execve.
+func (p *Process) adopt(c *interp.Compiled, inst *interp.Instance, pool *MmapPool) error {
+	if mem := inst.Mem; mem != nil {
+		if p.Tenant != nil {
+			n := privateBytes(mem)
+			if !p.Tenant.ReserveMemory(n) {
+				return fmt.Errorf("wali: tenant %q: memory budget exhausted", p.Tenant.Name())
+			}
+			old := p.charge
+			p.charge = newMemCharge(p.Tenant, n)
+			mem.Reserve = p.charge.reserve
+			if old != nil {
+				old.release()
+			}
+		}
+		p.W.installCowObserver(mem, p.KP.PID)
+	}
+	p.Module = c.Module
+	p.compiled = c
 	p.Inst = inst
-	p.Pool = NewMmapPool(inst.Mem)
+	p.Pool = pool
 	p.Exec = interp.NewExec(inst)
-	p.Exec.Scheme = w.Scheme
-	p.Exec.Tier = w.Tier
-	p.Exec.Ops = w.Ops
+	p.Exec.Scheme = p.W.Scheme
+	p.Exec.Tier = p.W.Tier
+	p.Exec.Ops = p.W.Ops
 	p.Exec.HostCtx = p
 	p.Exec.Poll = p.pollSignals
 	inst.HostCtx = p
+	return nil
+}
 
-	if err := p.attachBudget(tenant); err != nil {
-		return nil, err
+// privateBytes is what an address space holds of its tenant's memory
+// budget: the overlay's materialized pages, or the whole flat memory.
+func privateBytes(mem *interp.Memory) int64 {
+	return int64(mem.DirtyPages()) * wasm.PageSize
+}
+
+// admit puts a freshly wired process under its tenant's descriptor cap
+// (force-charging the descriptors already open), registers it with the
+// scheduler and enters it in the process table. Fork children wire
+// themselves in forkChild instead — their fd inheritance is force-charged
+// by FDTable.Clone.
+func (w *WALI) admit(p *Process) {
+	if p.Tenant != nil {
+		p.KP.FDs.SetReserver(p.Tenant)
+		p.Tenant.ForceFDs(p.KP.FDs.Count())
 	}
 	p.attachTask()
-
 	w.mu.Lock()
-	w.procs[kp.PID] = p
+	w.procs[p.KP.PID] = p
 	w.mu.Unlock()
-	return p, nil
 }
 
 // fromExec recovers the WALI process driving an execution. Host functions
@@ -468,35 +513,13 @@ func (p *Process) doExec() error {
 	if err != nil {
 		return err
 	}
-	if p.Tenant != nil {
-		// Charge the fresh image before releasing the old one (the two
-		// address spaces briefly coexist, exactly as during a real
-		// execve); failure surfaces as a failed exec.
-		if !p.Tenant.ReserveMemory(int64(len(inst.Mem.Data))) {
-			return fmt.Errorf("wali: tenant %q: memory budget exhausted on exec", p.Tenant.Name())
-		}
-		old := p.charge
-		p.charge = newMemCharge(p.Tenant, int64(len(inst.Mem.Data)))
-		inst.Mem.Reserve = p.charge.reserve
-		if old != nil {
-			old.release()
-		}
+	if err := p.adopt(c, inst, NewMmapPool(inst.Mem)); err != nil {
+		return err
 	}
-	p.Module = c.Module
-	p.compiled = c
-	p.Inst = inst
+	// Note: per §3.4, the virtual environment travels to the new image
+	// via the process (not the host engine).
 	p.argv = req.argv
 	p.env = req.envp
-	p.Pool = NewMmapPool(inst.Mem)
-	// Note: per §3.4, the virtual environment travels to the new image
-	// via the process (not the host engine) — p.env above.
-	p.Exec = interp.NewExec(inst)
-	p.Exec.Scheme = p.W.Scheme
-	p.Exec.Tier = p.W.Tier
-	p.Exec.Ops = p.W.Ops
-	p.Exec.HostCtx = p
-	p.Exec.Poll = p.pollSignals
-	inst.HostCtx = p
 	return nil
 }
 
@@ -547,7 +570,7 @@ func (p *Process) forkChild(e *interp.Exec) *Process {
 	// inheritance was force-charged by FDTable.Clone inside KP.Fork.
 	c.Tenant = p.Tenant
 	if p.Tenant != nil {
-		c.charge = newMemCharge(p.Tenant, int64(len(cinst.Mem.Data)))
+		c.charge = newMemCharge(p.Tenant, privateBytes(cinst.Mem))
 		cinst.Mem.Reserve = c.charge.reserve
 	}
 	c.attachTask()

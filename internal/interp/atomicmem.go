@@ -77,50 +77,50 @@ func atomicStoreLEU64(b *byte, v uint64) {
 // copy-on-write read barrier (a cow memory is never concurrent:
 // MarkConcurrent collapses the overlay first).
 func sharedLoadU32(m *Memory, a uint64) uint32 {
-	if m.cow != nil {
+	if m.pages != nil {
 		return m.cowLoad32(a)
 	}
 	if a&3 == 0 && m.racy() {
-		return atomicLoadLEU32(&m.Data[a])
+		return atomicLoadLEU32(&m.data[a])
 	}
-	return binary.LittleEndian.Uint32(m.Data[a:])
+	return binary.LittleEndian.Uint32(m.data[a:])
 }
 
 // sharedStoreU32 writes a u32, atomically when shared and aligned.
 func sharedStoreU32(m *Memory, a uint64, v uint32) {
-	if m.cow != nil {
+	if m.pages != nil {
 		m.cowStore32(a, v)
 		return
 	}
 	if a&3 == 0 && m.racy() {
-		atomicStoreLEU32(&m.Data[a], v)
+		atomicStoreLEU32(&m.data[a], v)
 		return
 	}
-	binary.LittleEndian.PutUint32(m.Data[a:], v)
+	binary.LittleEndian.PutUint32(m.data[a:], v)
 }
 
 // sharedLoadU64 reads a u64, atomically when shared and aligned.
 func sharedLoadU64(m *Memory, a uint64) uint64 {
-	if m.cow != nil {
+	if m.pages != nil {
 		return m.cowLoad64(a)
 	}
 	if a&7 == 0 && m.racy() {
-		return atomicLoadLEU64(&m.Data[a])
+		return atomicLoadLEU64(&m.data[a])
 	}
-	return binary.LittleEndian.Uint64(m.Data[a:])
+	return binary.LittleEndian.Uint64(m.data[a:])
 }
 
 // sharedStoreU64 writes a u64, atomically when shared and aligned.
 func sharedStoreU64(m *Memory, a uint64, v uint64) {
-	if m.cow != nil {
+	if m.pages != nil {
 		m.cowStore64(a, v)
 		return
 	}
 	if a&7 == 0 && m.racy() {
-		atomicStoreLEU64(&m.Data[a], v)
+		atomicStoreLEU64(&m.data[a], v)
 		return
 	}
-	binary.LittleEndian.PutUint64(m.Data[a:], v)
+	binary.LittleEndian.PutUint64(m.data[a:], v)
 }
 
 // AtomicReadU32 atomically loads the little-endian u32 at addr. The
@@ -131,11 +131,11 @@ func (m *Memory) AtomicReadU32(addr uint32) (uint32, bool) {
 	if addr&3 != 0 || !m.InRange(addr, 4) {
 		return 0, false
 	}
-	if m.cow != nil {
+	if m.pages != nil {
 		// cow implies single-threaded: a plain overlay read is sound.
 		return m.cowLoad32(uint64(addr)), true
 	}
-	return atomicLoadLEU32(&m.Data[addr]), true
+	return atomicLoadLEU32(&m.data[addr]), true
 }
 
 // AtomicWriteU32 atomically stores a little-endian u32 at addr (4-byte
@@ -145,10 +145,10 @@ func (m *Memory) AtomicWriteU32(addr uint32, v uint32) bool {
 	if addr&3 != 0 || !m.InRange(addr, 4) {
 		return false
 	}
-	if m.cow != nil {
+	if m.pages != nil {
 		m.cowStore32(uint64(addr), v)
 		return true
 	}
-	atomicStoreLEU32(&m.Data[addr], v)
+	atomicStoreLEU32(&m.data[addr], v)
 	return true
 }

@@ -596,28 +596,16 @@ func (e *Exec) runIR(minFrames int) {
 				src := uint32(e.pop())
 				dst := uint32(e.pop())
 				mem := inst.Mem
-				if !mem.InRange(src, ln) || !mem.InRange(dst, ln) {
+				if !mem.CopyRange(dst, src, ln) {
 					Throw(TrapMemOutOfBounds, "memory.copy dst=%d src=%d len=%d", dst, src, ln)
-				}
-				if mem.cow != nil {
-					mem.cowCopyWithin(dst, src, ln)
-				} else {
-					copy(mem.Data[dst:dst+ln], mem.Data[src:src+ln])
 				}
 			case iMemFill:
 				ln := uint32(e.pop())
 				val := byte(e.pop())
 				dst := uint32(e.pop())
 				mem := inst.Mem
-				if !mem.InRange(dst, ln) {
+				if !mem.FillRange(dst, val, ln) {
 					Throw(TrapMemOutOfBounds, "memory.fill dst=%d len=%d", dst, ln)
-				}
-				if mem.cow != nil {
-					mem.cowFill(dst, val, ln)
-				} else {
-					for i := uint32(0); i < ln; i++ {
-						mem.Data[dst+i] = val
-					}
 				}
 			case iTruncSat:
 				e.execTruncSat(in.a)
@@ -1484,13 +1472,8 @@ func (e *Exec) runWire(minFrames int) {
 				src := uint32(e.pop())
 				dst := uint32(e.pop())
 				mem := f.inst.Mem
-				if !mem.InRange(src, ln) || !mem.InRange(dst, ln) {
+				if !mem.CopyRange(dst, src, ln) {
 					Throw(TrapMemOutOfBounds, "memory.copy dst=%d src=%d len=%d", dst, src, ln)
-				}
-				if mem.cow != nil {
-					mem.cowCopyWithin(dst, src, ln)
-				} else {
-					copy(mem.Data[dst:dst+ln], mem.Data[src:src+ln])
 				}
 			case wasm.FCMemoryFill:
 				_, n := readU32(body, pc)
@@ -1499,15 +1482,8 @@ func (e *Exec) runWire(minFrames int) {
 				val := byte(e.pop())
 				dst := uint32(e.pop())
 				mem := f.inst.Mem
-				if !mem.InRange(dst, ln) {
+				if !mem.FillRange(dst, val, ln) {
 					Throw(TrapMemOutOfBounds, "memory.fill dst=%d len=%d", dst, ln)
-				}
-				if mem.cow != nil {
-					mem.cowFill(dst, val, ln)
-				} else {
-					for i := uint32(0); i < ln; i++ {
-						mem.Data[dst+i] = val
-					}
 				}
 			default:
 				e.execTruncSat(sub)
@@ -1535,8 +1511,8 @@ func (e *Exec) runWire(minFrames int) {
 // would exceed memory.
 func effAddr(mem *Memory, base, off, size uint32) uint64 {
 	addr := uint64(base) + uint64(off)
-	if addr+uint64(size) > uint64(len(mem.Data)) {
-		Throw(TrapMemOutOfBounds, "address %d size %d, memory %d bytes", addr, size, len(mem.Data))
+	if addr+uint64(size) > mem.size {
+		Throw(TrapMemOutOfBounds, "address %d size %d, memory %d bytes", addr, size, mem.size)
 	}
 	return addr
 }

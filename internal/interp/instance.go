@@ -249,7 +249,13 @@ func (c *Compiled) Instantiate(l *Linker) (*Instance, error) {
 	}
 
 	if m.Mem != nil {
-		inst.Mem = NewMemory(*m.Mem)
+		// A private memory starts as the zero-backed page overlay; only a
+		// declared-shared one is flat (and at its maximum) up front.
+		if m.Mem.Shared || m.Mem.Min == 0 {
+			inst.Mem = NewMemory(*m.Mem)
+		} else {
+			inst.Mem = newOverlayMemory(*m.Mem)
+		}
 	}
 	if m.Table != nil {
 		inst.Table = make([]int32, m.Table.Min)
@@ -277,10 +283,9 @@ func (c *Compiled) Instantiate(l *Linker) (*Instance, error) {
 
 	for i, seg := range m.Data {
 		off := uint32(wasm.EvalConstExpr(seg.Offset, importedGlobalVals))
-		if inst.Mem == nil || uint64(off)+uint64(len(seg.Init)) > uint64(len(inst.Mem.Data)) {
+		if inst.Mem == nil || !inst.Mem.WriteBytes(off, seg.Init) {
 			return nil, fmt.Errorf("wasm: data[%d]: segment out of memory bounds", i)
 		}
-		copy(inst.Mem.Data[off:], seg.Init)
 	}
 
 	return inst, nil

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,9 @@ type netBackendBox struct{ b net.Backend }
 // activity in one subsystem — or one guest — never serializes another.
 type Kernel struct {
 	FS *vfs.FS
+	// procDir is the /proc directory, held so per-process entries are
+	// made and removed under it without a path walk.
+	procDir *vfs.Inode
 
 	// PID table: read-mostly (every Process() lookup), written only on
 	// process create/reap.
@@ -106,9 +110,10 @@ func NewKernel() *Kernel {
 	}
 	k.FS = vfs.New(k.Realtime)
 
-	for _, d := range []string{"/bin", "/dev", "/etc", "/home", "/proc", "/tmp", "/usr", "/var"} {
+	for _, d := range []string{"/bin", "/dev", "/etc", "/home", "/tmp", "/usr", "/var"} {
 		k.FS.MkdirAll(d, 0o755)
 	}
+	k.procDir = k.FS.MkdirAll("/proc", 0o755)
 
 	k.Console = NewConsoleDevice()
 	k.mkdev("/dev/console", k.Console)
@@ -311,19 +316,23 @@ func (k *Kernel) Process(pid int32) (*Process, bool) {
 	return p, ok
 }
 
-// registerProcSynthetic creates the /proc/<pid> tree for p.
+// registerProcSynthetic creates the /proc/<pid> tree for p: the directory
+// and its three files are entered directly under the held /proc inode and
+// the new directory's own, with no path to build or resolve (a mount laid
+// over /proc would therefore cover them).
 func (k *Kernel) registerProcSynthetic(p *Process) {
-	base := fmt.Sprintf("/proc/%d", p.PID)
-	k.FS.MkdirAll(base, 0o555)
-	status, _ := k.FS.Create("/", base+"/status", linux.S_IFREG|0o444, 0, 0, false)
-	if status != nil {
+	dir, errno := k.FS.CreateAt(k.procDir, strconv.Itoa(int(p.PID)), linux.S_IFDIR|0o555, 0, 0, false)
+	if errno != 0 {
+		return
+	}
+	p.procDir = dir
+	if status, _ := k.FS.CreateAt(dir, "status", linux.S_IFREG|0o444, 0, 0, false); status != nil {
 		k.FS.SetGenerator(status, func() []byte {
 			return []byte(fmt.Sprintf("Name:\t%s\nPid:\t%d\nPPid:\t%d\nTgid:\t%d\nUid:\t%d\nGid:\t%d\n",
 				p.Comm(), p.PID, p.Getppid(), p.TGID, p.uid(), p.gid()))
 		})
 	}
-	cmdline, _ := k.FS.Create("/", base+"/cmdline", linux.S_IFREG|0o444, 0, 0, false)
-	if cmdline != nil {
+	if cmdline, _ := k.FS.CreateAt(dir, "cmdline", linux.S_IFREG|0o444, 0, 0, false); cmdline != nil {
 		k.FS.SetGenerator(cmdline, func() []byte {
 			var out []byte
 			for _, a := range p.Argv() {
@@ -335,13 +344,15 @@ func (k *Kernel) registerProcSynthetic(p *Process) {
 	}
 	// /proc/<pid>/mem exists so the WALI-layer interposition (a §3.6
 	// security pitfall) has a real target to deny.
-	k.FS.Create("/", base+"/mem", linux.S_IFREG|0o600, 0, 0, false)
+	k.FS.CreateAt(dir, "mem", linux.S_IFREG|0o600, 0, 0, false)
 }
 
-func (k *Kernel) unregisterProcSynthetic(pid int32) {
-	base := fmt.Sprintf("/proc/%d", pid)
-	k.FS.Unlink("/", base+"/status", false)
-	k.FS.Unlink("/", base+"/cmdline", false)
-	k.FS.Unlink("/", base+"/mem", false)
-	k.FS.Unlink("/", base, true)
+func (k *Kernel) unregisterProcSynthetic(p *Process) {
+	if p.procDir == nil {
+		return
+	}
+	for _, name := range [...]string{"status", "cmdline", "mem"} {
+		k.FS.UnlinkAt(p.procDir, name, false)
+	}
+	k.FS.UnlinkAt(k.procDir, strconv.Itoa(int(p.PID)), true)
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gowali/internal/kernel/vfs"
 	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
 )
@@ -70,6 +71,9 @@ type Process struct {
 	fs    *fsState
 	creds *credState
 	group *threadGroup
+	// procDir is this process's /proc/<pid> directory (nil for tasks
+	// that have none: threads and restored processes).
+	procDir *vfs.Inode
 
 	// FDs is the descriptor table (shared by threads).
 	FDs *FDTable
@@ -310,7 +314,7 @@ func (k *Kernel) reap(p *Process) {
 	p.state = stateDead
 	p.mu.Unlock()
 	k.delProc(p.PID)
-	k.unregisterProcSynthetic(p.PID)
+	k.unregisterProcSynthetic(p)
 }
 
 // findChild scans p's children for those pid selects (wait4's pid

@@ -278,25 +278,32 @@ func (fs *FS) Create(cwd, path string, mode uint32, uid, gid uint32, excl bool) 
 	if r.Name == ".." || r.Name == "/" {
 		return nil, linux.EEXIST
 	}
-	m := r.Parent.mount()
+	return fs.CreateAt(r.Parent, r.Name, mode, uid, gid, excl)
+}
+
+// CreateAt is Create for a caller that already holds the parent
+// directory's inode: it makes (or, without excl, finds) the entry name
+// in dir without resolving a path. name must be a single component.
+func (fs *FS) CreateAt(dir *Inode, name string, mode uint32, uid, gid uint32, excl bool) (*Inode, linux.Errno) {
+	m := dir.mount()
 	if m != nil && m.readonly {
 		return nil, linux.EROFS
 	}
-	if r.Parent.isProxy() {
-		return m.createProxy(fs, r.Parent, r.Name, mode, excl)
+	if dir.isProxy() {
+		return m.createProxy(fs, dir, name, mode, excl)
 	}
-	n := r.Parent.fsys.newInode(mode)
+	n := dir.fsys.newInode(mode)
 	n.uid, n.gid = uid, gid
-	r.Parent.mu.Lock()
-	defer r.Parent.mu.Unlock()
-	if r.Parent.nlink == 0 {
-		// The parent directory was rmdir'd between walk and lock; a file
-		// created now would live on an unreachable inode.
+	dir.mu.Lock()
+	defer dir.mu.Unlock()
+	if dir.nlink == 0 {
+		// The directory was rmdir'd before the lock; a file created now
+		// would live on an unreachable inode.
 		return nil, linux.ENOENT
 	}
-	if existing, ok := r.Parent.children[r.Name]; ok {
-		// Lost a create race: apply the same semantics to the entry that
-		// got there first.
+	if existing, ok := dir.children[name]; ok {
+		// The entry exists (or a racing create got there first): apply
+		// the same semantics a path walk that found it would.
 		if excl {
 			return nil, linux.EEXIST
 		}
@@ -306,11 +313,11 @@ func (fs *FS) Create(cwd, path string, mode uint32, uid, gid uint32, excl bool) 
 		return existing, 0
 	}
 	if n.mode&linux.S_IFMT == linux.S_IFDIR {
-		n.parent = r.Parent
-		r.Parent.nlink++
+		n.parent = dir
+		dir.nlink++
 	}
-	r.Parent.children[r.Name] = n
-	r.Parent.mtime = fs.Clock()
+	dir.children[name] = n
+	dir.mtime = fs.Clock()
 	return n, 0
 }
 
@@ -390,35 +397,60 @@ func (fs *FS) Unlink(cwd, path string, dir bool) linux.Errno {
 	if r.Node == nil {
 		return linux.ENOENT
 	}
-	if r.Node == fs.Root {
+	return fs.unlinkAt(r.Parent, r.Name, r.Node, dir)
+}
+
+// UnlinkAt is Unlink for a caller that already holds the parent
+// directory's inode: it removes the entry name from dir (rmdir semantics
+// when isDir is true) without resolving a path.
+func (fs *FS) UnlinkAt(dir *Inode, name string, isDir bool) linux.Errno {
+	var node *Inode
+	if dir.isProxy() {
+		node, _ = fs.lookup(dir, name)
+	} else {
+		// Read the entry directly: going through lookup would enter it
+		// in the dentry cache only for unlinkAt to drop it again.
+		dir.mu.RLock()
+		node = dir.children[name]
+		dir.mu.RUnlock()
+	}
+	if node == nil {
+		return linux.ENOENT
+	}
+	return fs.unlinkAt(dir, name, node, isDir)
+}
+
+// unlinkAt removes the entry name → node from parent.
+func (fs *FS) unlinkAt(parent *Inode, name string, node *Inode, dir bool) linux.Errno {
+	if node == fs.Root {
 		return linux.EBUSY
 	}
-	if mountRoot(r.Node) {
+	if mountRoot(node) {
 		return linux.EBUSY // the entry is covered by a mount
 	}
 	if dir {
-		if !r.Node.IsDir() {
+		if !node.IsDir() {
 			return linux.ENOTDIR
 		}
-	} else if r.Node.IsDir() {
+	} else if node.IsDir() {
 		return linux.EISDIR
 	}
-	m := r.Parent.mount()
+	m := parent.mount()
 	if m != nil && m.readonly {
 		return linux.EROFS
 	}
-	if r.Parent.isProxy() {
-		return m.unlinkProxy(fs, r.Parent, r.Name, dir)
+	if parent.isProxy() {
+		return m.unlinkProxy(fs, parent, name, dir)
 	}
 	var mntID uint64
 	if m != nil {
 		mntID = m.ID
 	}
-	r.Parent.mu.Lock()
-	if r.Parent.children[r.Name] != r.Node {
-		// The entry changed between walk and lock; the caller's target is
+	parent.mu.Lock()
+	if parent.children[name] != node {
+		// The entry changed before the lock; the caller's target is
 		// already gone.
-		r.Parent.mu.Unlock()
+		parent.mu.Unlock()
 		return linux.ENOENT
 	}
 	if dir {
@@ -426,28 +458,28 @@ func (fs *FS) Unlink(cwd, path string, dir bool) linux.Errno {
 		// own write lock, held together with the parent's: a concurrent
 		// Create into this directory serializes on that lock and then
 		// sees nlink == 0, so nothing can slip into a removed directory.
-		r.Node.mu.Lock()
-		if len(r.Node.children) > 0 {
-			r.Node.mu.Unlock()
-			r.Parent.mu.Unlock()
+		node.mu.Lock()
+		if len(node.children) > 0 {
+			node.mu.Unlock()
+			parent.mu.Unlock()
 			return linux.ENOTEMPTY
 		}
-		r.Node.nlink = 0
-		r.Node.mu.Unlock()
+		node.nlink = 0
+		node.mu.Unlock()
 	}
-	delete(r.Parent.children, r.Name)
-	fs.dcacheDelete(mntID, r.Parent.Ino, r.Name)
-	r.Parent.mtime = fs.Clock()
+	delete(parent.children, name)
+	fs.dcacheDelete(mntID, parent.Ino, name)
+	parent.mtime = fs.Clock()
 	if dir {
-		r.Parent.nlink--
+		parent.nlink--
 	}
-	r.Parent.mu.Unlock()
+	parent.mu.Unlock()
 	if !dir {
-		r.Node.mu.Lock()
-		if r.Node.nlink > 0 {
-			r.Node.nlink--
+		node.mu.Lock()
+		if node.nlink > 0 {
+			node.nlink--
 		}
-		r.Node.mu.Unlock()
+		node.mu.Unlock()
 	}
 	return 0
 }

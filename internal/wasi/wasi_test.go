@@ -145,6 +145,14 @@ func (h *harness) expect(name string, args ...uint64) {
 
 func (h *harness) mem() *interp.Memory { return h.p.Inst.Mem }
 
+func (h *harness) byteAt(addr uint32) byte {
+	var b [1]byte
+	if !h.mem().ReadBytes(addr, b[:]) {
+		h.t.Fatalf("byteAt(%d) OOB", addr)
+	}
+	return b[0]
+}
+
 func (h *harness) putString(addr uint32, s string) {
 	b, ok := h.mem().Bytes(addr, uint32(len(s)))
 	if !ok {
@@ -307,7 +315,7 @@ func TestLibuvwasiSuite(t *testing.T) {
 		h.putIovec(500, 1000, 3)
 		h.expect("fd_write", uint64(fd), 500, 1, 508)
 		h.expect("fd_filestat_get", uint64(fd), 2000)
-		if ft := h.mem().Data[2016]; ft != FiletypeRegularFile {
+		if ft := h.byteAt(2016); ft != FiletypeRegularFile {
 			t.Fatalf("filetype = %d", ft)
 		}
 		if sz := h.u64(2032); sz != 3 {
@@ -330,7 +338,7 @@ func TestLibuvwasiSuite(t *testing.T) {
 		h.putString(60000, "tmp/newdir")
 		h.expect("path_create_directory", 3, 60000, 10)
 		h.expect("path_filestat_get", 3, 1, 60000, 10, 2000)
-		if ft := h.mem().Data[2016]; ft != FiletypeDirectory {
+		if ft := h.byteAt(2016); ft != FiletypeDirectory {
 			t.Fatalf("filetype = %d", ft)
 		}
 		h.expect("path_remove_directory", 3, 60000, 10)
@@ -385,7 +393,7 @@ func TestLibuvwasiSuite(t *testing.T) {
 		h.expect("path_symlink", 50000, 7, 3, 50100, 6)
 		// lookupflags=0: no follow → filetype symlink.
 		h.expect("path_filestat_get", 3, 0, 50100, 6, 2000)
-		if ft := h.mem().Data[2016]; ft != FiletypeSymlink {
+		if ft := h.byteAt(2016); ft != FiletypeSymlink {
 			t.Fatalf("filetype = %d, want symlink", ft)
 		}
 	})
@@ -411,7 +419,7 @@ func TestLibuvwasiSuite(t *testing.T) {
 	t.Run("17_prestat", func(t *testing.T) {
 		h := newHarness(t, nil, nil)
 		h.expect("fd_prestat_get", 3, 100)
-		if h.mem().Data[100] != 0 {
+		if h.byteAt(100) != 0 {
 			t.Fatal("preopen tag not dir")
 		}
 		nameLen := h.u32(104)
@@ -419,8 +427,8 @@ func TestLibuvwasiSuite(t *testing.T) {
 			t.Fatalf("preopen name len = %d", nameLen)
 		}
 		h.expect("fd_prestat_dir_name", 3, 200, uint64(nameLen))
-		if h.mem().Data[200] != '/' {
-			t.Fatalf("preopen name = %q", h.mem().Data[200:201])
+		if h.byteAt(200) != '/' {
+			t.Fatalf("preopen name = %q", []byte{h.byteAt(200)})
 		}
 		if e := h.call("fd_prestat_get", 9, 100); e != ErrnoBadf {
 			t.Fatalf("non-preopen prestat: %d", e)
@@ -431,7 +439,7 @@ func TestLibuvwasiSuite(t *testing.T) {
 		h := newHarness(t, nil, nil)
 		fd := h.openFile("tmp/st.txt", OflagCreat, RightFdRead|RightFdWrite)
 		h.expect("fd_fdstat_get", uint64(fd), 2000)
-		if ft := h.mem().Data[2000]; ft != FiletypeRegularFile {
+		if ft := h.byteAt(2000); ft != FiletypeRegularFile {
 			t.Fatalf("fdstat filetype = %d", ft)
 		}
 	})

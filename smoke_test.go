@@ -39,7 +39,7 @@ func TestSmokeWASILayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(p.Inst.Mem.Data[1000:], "hello wasi")
+	p.Inst.Mem.WriteBytes(1000, []byte("hello wasi"))
 	p.Inst.Mem.WriteU32(500, 1000)
 	p.Inst.Mem.WriteU32(504, 10)
 	fidx, ok := m.ExportedFunc("w_fd_write")

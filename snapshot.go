@@ -151,9 +151,11 @@ func ReadImageFile(path string) (*Image, error) {
 	return ReadImage(f)
 }
 
-// DirtyPages reports how many 64 KiB pages a restored process has
-// privatized away from its image so far (its true memory footprint; the
-// tenant budget charges exactly these).
+// DirtyPages reports how many 64 KiB pages of its linear memory a process
+// holds privately: the pages it has written since it was spawned or
+// restored (every start shares its clean pages), or all of them once the
+// memory has grown or been shared with a thread. It is the process's true
+// memory footprint; the tenant budget charges exactly these.
 func (p *Process) DirtyPages() int {
 	if p.wp == nil {
 		return 0
