@@ -7,6 +7,7 @@ import (
 
 	"gowali/internal/interp"
 	"gowali/internal/linux"
+	"gowali/internal/obs"
 	"gowali/internal/wasm"
 )
 
@@ -38,6 +39,22 @@ func TestDisarmedDispatchAllocatesNothing(t *testing.T) {
 	want := uint64(51*calls + 51*2) // AllocsPerRun adds one warm-up run
 	if _, n := w.SyscallStats(p.KP.PID); n != want {
 		t.Errorf("syscall count = %d, want %d", n, want)
+	}
+}
+
+// TestDisarmedEmitAllocatesNothing pins the other half of the disarmed
+// contract: Emit on a nil or disabled tracer (what every scheduler block
+// cycle and every spawn calls unconditionally) allocates nothing. Before
+// the guard was split from the recording half, the escaping event was
+// heap-allocated at function entry either way.
+func TestDisarmedEmitAllocatesNothing(t *testing.T) {
+	for name, tr := range map[string]*obs.Tracer{"nil": nil, "disabled": obs.NewTracer(8)} {
+		tr := tr
+		if n := testing.AllocsPerRun(100, func() {
+			tr.Emit(obs.Event{Kind: obs.EvSchedUnblock, PID: 7, Dur: 3})
+		}); n != 0 {
+			t.Errorf("%s tracer: %v allocations per Emit, want 0", name, n)
+		}
 	}
 }
 

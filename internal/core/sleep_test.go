@@ -4,12 +4,14 @@ import (
 	"encoding/binary"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gowali/internal/kernel/sched"
 	"gowali/internal/linux"
+	"gowali/internal/obs"
 	"gowali/internal/wasm"
 )
 
@@ -216,6 +218,19 @@ func killSleeper(t *testing.T, w *WALI, p *Process) {
 	w.WaitAll()
 }
 
+// waitGoroutines requires the goroutine count back at base within 5 s
+// (goroutines unwind asynchronously after a kill).
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the run\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
 // TestSnapshotQuiescesSleep: the quiesce request must pull a guest out
 // of any sleep (EINTR) so it parks at a safepoint within a second, not
 // after the 5 s rendezvous timeout. Where the descriptor table can be
@@ -316,16 +331,146 @@ func TestKillEndsSleep(t *testing.T) {
 			killSleeper(t, w, p)
 			w.Kernel.Shutdown()
 
-			// Goroutines unwind asynchronously; give them a bounded window.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<20)
-					t.Fatalf("%d goroutines, %d before the run\n%s",
-						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(time.Millisecond)
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// buildFamilySleeper is buildSleeper with company: after the row's set-up
+// the guest starts a CLONE_THREAD thread and forks, and all three park in
+// the row's syscall — the thread on the parent's descriptors and signal
+// queue, the child on copies. A task the syscall will not keep (wait4
+// answers ECHILD to a thread and to the childless child) parks in pause
+// instead; EINTR parks it again.
+func buildFamilySleeper(r sleepRow) *appBuilder {
+	names := []string{"getpid", "clone", "fork", "pause"}
+	for _, n := range append([]string{r.sys}, r.imports...) {
+		if n != "fork" && n != "pause" {
+			names = append(names, n)
+		}
+	}
+	b := newApp(names...)
+	if r.arg != nil {
+		b.Data(slArg, r.arg)
+	}
+	parkForever := func(f *wasm.FuncBuilder) {
+		f.Loop()
+		r.park(b, f)
+		f.I64Const(-int64(linux.EINTR)).Op(wasm.OpI64Eq).BrIf(0)
+		f.End()
+		f.Loop()
+		b.call(f, "pause")
+		f.Drop()
+		f.Br(0)
+		f.End()
+	}
+	tf := b.NewFunc("", []wasm.ValType{wasm.I32}, nil)
+	parkForever(tf)
+	b.Table(4, 4)
+	b.Elem(1, tf.Finish())
+
+	f := b.NewFunc(StartExport, nil, nil)
+	warmAndReady(b, f)
+	if r.setup != nil {
+		r.setup(b, f)
+	}
+	b.call(f, "clone", linux.CLONE_THREAD|linux.CLONE_VM, 1, 0, 0, 0)
+	f.Drop()
+	b.call(f, "fork")
+	f.Drop()
+	parkForever(f)
+	f.Finish()
+	return b
+}
+
+// parkedTasks waits until the scheduler's trace shows exactly want tasks
+// whose latest transition is a block, and returns their pids. A block
+// event is anchored at the start of the slice it ends (TS = end - Dur),
+// so transitions are ordered by TS+Dur, the time they were emitted.
+func parkedTasks(t *testing.T, tr *obs.Tracer, want int) []int32 {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		blockedAt, unblockedAt := map[int32]int64{}, map[int32]int64{}
+		for _, ev := range tr.Events() {
+			switch ev.Kind {
+			case obs.EvSchedBlock:
+				blockedAt[ev.PID] = max(blockedAt[ev.PID], ev.TS+ev.Dur)
+			case obs.EvSchedUnblock:
+				unblockedAt[ev.PID] = max(unblockedAt[ev.PID], ev.TS)
 			}
+		}
+		var pids []int32
+		for pid, at := range blockedAt {
+			if at >= unblockedAt[pid] {
+				pids = append(pids, pid)
+			}
+		}
+		if len(pids) == want {
+			return pids
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tasks parked, want %d", len(pids), want)
+		}
+	}
+}
+
+// TestFamilySleepsWakeSeparately: with a parent, its thread and its forked
+// child asleep in the same syscall at once, each parks on a waiter of its
+// own — a quiesce request pulls exactly the task it names out of its
+// sleep within a second (the thread shares the parent's signal queue, the
+// child does not) while the others sleep on, and SIGKILL ends them all.
+func TestFamilySleepsWakeSeparately(t *testing.T) {
+	for _, row := range sleepRows {
+		t.Run(row.sys, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			w := New()
+			tr := obs.NewTracer(0)
+			tr.SetEnabled(true)
+			w.Sched = sched.New(sched.Config{Trace: tr})
+			var mu sync.Mutex
+			eintr := map[int32]int{}
+			w.AddHook(func(ev SyscallEvent) {
+				if ev.Ret == -int64(linux.EINTR) {
+					mu.Lock()
+					eintr[ev.PID]++
+					mu.Unlock()
+				}
+			})
+			p := spawnWarm(t, w, buildFamilySleeper(row), row.sys)
+			family := 3
+			if row.sys == "wait4" {
+				family++ // the set-up's own child, parked in pause
+			}
+			for _, pid := range parkedTasks(t, tr, family) {
+				kp, ok := w.Kernel.Process(pid)
+				if !ok {
+					t.Fatalf("parked pid %d is not in the process table", pid)
+				}
+				kp.RequestQuiesce()
+				for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
+					mu.Lock()
+					n, others := eintr[pid], len(eintr)
+					mu.Unlock()
+					if n > 0 {
+						if others != 1 {
+							t.Errorf("quiesce of pid %d interrupted %d tasks, want 1", pid, others)
+						}
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("pid %d still asleep 1 s after its quiesce request", pid)
+					}
+				}
+				kp.ClearQuiesce()
+				parkedTasks(t, tr, family)
+				mu.Lock()
+				clear(eintr)
+				mu.Unlock()
+			}
+
+			killSleeper(t, w, p)
+			w.Kernel.Shutdown()
+			waitGoroutines(t, base)
 		})
 	}
 }

@@ -18,32 +18,37 @@ import (
 //
 //   - no waiter, no allocation when the answer is already there: the
 //     first attempt runs before anything is armed;
+//   - no allocation when it is not: the task parks on its own waiter,
+//     made at its first block and armed on sig.pollQ from then until the
+//     task exits, and collects the queues of a round in its own slice;
 //   - no lost wakeups: from then on the waiter is cleared and armed
 //     BEFORE each attempt, and every state change in the kernel ends
 //     in a Wake of its queue, so an edge between the attempt and the
-//     park leaves a token on the waiter. queues is re-evaluated every
+//     park leaves a token on the waiter. queues appends the round's
+//     wait queues to the slice it is given; it is re-evaluated every
 //     round because a file's wakeup sources change with its state
-//     (connect, accept, lazy datagram bind, epoll_ctl); its result is
-//     dropped before the next call, so a caller may reuse the slice;
+//     (connect, accept, lazy datagram bind);
 //   - interruption: a deliverable signal — the SIGKILL of a forced
 //     termination or a budget-overrun sweep included — or a snapshot
 //     quiesce request ends the sleep with EINTR. Both are level
-//     conditions checked after the arm on sig.pollQ, which PostSignal,
-//     PostThreadSignal and RequestQuiesce wake, so one raised later
-//     leaves a token on the waiter;
+//     conditions checked after the Clear, and PostSignal,
+//     PostThreadSignal and RequestQuiesce wake sig.pollQ, so one raised
+//     later leaves a token on the waiter (one raised while the task was
+//     running left a stale token, which the Clear drops);
 //   - scheduler integration: the park is bracketed by BeginBlock and
 //     EndBlock, with no lock held, so a scheduled guest gives its run
 //     slot back while it sleeps;
 //   - an optional deadline (zero = none), reported as ETIMEDOUT for
 //     the caller to map (poll: 0 ready, sigtimedwait: EAGAIN,
 //     nanosleep: 0).
-func (p *Process) sleep(queues func() []*waitq.Queue, deadline time.Time, attempt func() linux.Errno) linux.Errno {
+//
+// A task sleeps on its own goroutine only, so the waiter and the slice
+// need no lock of their own.
+func (p *Process) sleep(queues func([]*waitq.Queue) []*waitq.Queue, deadline time.Time, attempt func() linux.Errno) linux.Errno {
 	if errno := attempt(); errno != linux.EAGAIN {
 		return errno
 	}
-	w := waitq.NewWaiter()
-	p.sig.pollQ.Add(w)
-	defer p.sig.pollQ.Remove(w)
+	w := p.parkWaiter()
 	var expired <-chan time.Time // nil (never ready) without a deadline
 	if !deadline.IsZero() {
 		t := time.NewTimer(time.Until(deadline))
@@ -52,9 +57,9 @@ func (p *Process) sleep(queues func() []*waitq.Queue, deadline time.Time, attemp
 	}
 	for {
 		w.Clear()
-		var armed []*waitq.Queue
+		armed := p.armed[:0]
 		if queues != nil {
-			armed = queues()
+			armed = queues(armed)
 		}
 		for _, q := range armed {
 			q.Add(w)
@@ -76,22 +81,43 @@ func (p *Process) sleep(queues func() []*waitq.Queue, deadline time.Time, attemp
 			}
 			p.EndBlock()
 		}
-		for _, q := range armed {
+		for i, q := range armed {
 			q.Remove(w)
+			armed[i] = nil // a parked buffer must not pin a closed file's queue
 		}
+		p.armed = armed
 		if errno != linux.EAGAIN {
 			return errno
 		}
 	}
 }
 
-// fileQueues returns every wait queue whose wakeup may change f's
-// readiness; nil for files that are always ready.
-func fileQueues(f File) []*waitq.Queue {
-	if pw, ok := f.(pollWaitable); ok {
-		return pw.PollQueues()
+// parkWaiter returns the task's waiter, making and arming it on the
+// group's signal queue at the task's first block. Fork and CloneThread
+// build their Process from scratch, so a child never shares it; Exit
+// disarms it.
+func (p *Process) parkWaiter() *waitq.Waiter {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.waiter == nil {
+		p.waiter = waitq.NewWaiter()
+		p.sig.pollQ.Add(p.waiter)
 	}
-	return nil
+	return p.waiter
+}
+
+// fileQueues appends to qs every wait queue whose wakeup may change f's
+// readiness; none for files that are always ready.
+func fileQueues(f File, qs []*waitq.Queue) []*waitq.Queue {
+	if pw, ok := f.(pollWaitable); ok {
+		return pw.PollQueues(qs)
+	}
+	return qs
+}
+
+// fileSleep is sleep on f's own queues.
+func (p *Process) fileSleep(f File, attempt func() linux.Errno) linux.Errno {
+	return p.sleep(func(qs []*waitq.Queue) []*waitq.Queue { return fileQueues(f, qs) }, time.Time{}, attempt)
 }
 
 // readFile is read(2) on an open file description. File.Read never
@@ -101,7 +127,7 @@ func (p *Process) readFile(f File, b []byte) (int, linux.Errno) {
 		return f.Read(b)
 	}
 	var n int
-	errno := p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() (e linux.Errno) {
+	errno := p.fileSleep(f, func() (e linux.Errno) {
 		n, e = f.Read(b)
 		return e
 	})
@@ -116,7 +142,7 @@ func (p *Process) writeFile(f File, b []byte) (int, linux.Errno) {
 		return f.Write(b)
 	}
 	total := 0
-	errno := p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() linux.Errno {
+	errno := p.fileSleep(f, func() linux.Errno {
 		n, e := f.Write(b[total:])
 		total += n
 		if e == 0 && total < len(b) {

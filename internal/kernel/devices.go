@@ -45,7 +45,7 @@ func (c *ConsoleDevice) CloseInput() {
 }
 
 // PollQueues implements event-driven poll readiness for stdin.
-func (c *ConsoleDevice) PollQueues() []*waitq.Queue { return []*waitq.Queue{&c.q} }
+func (c *ConsoleDevice) PollQueues(qs []*waitq.Queue) []*waitq.Queue { return append(qs, &c.q) }
 
 // Output returns everything written so far.
 func (c *ConsoleDevice) Output() []byte {

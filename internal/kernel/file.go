@@ -181,7 +181,7 @@ func (f *regFile) Poll() int16 { return linux.POLLIN | linux.POLLOUT }
 
 // PollQueues implements event-driven poll readiness. Regular files are
 // always ready, so no queue ever needs arming.
-func (f *regFile) PollQueues() []*waitq.Queue { return nil }
+func (f *regFile) PollQueues(qs []*waitq.Queue) []*waitq.Queue { return qs }
 
 func (f *regFile) Ioctl(cmd uint32, arg []byte) (int32, linux.Errno) {
 	return 0, linux.ENOTTY
@@ -266,7 +266,9 @@ func (f *pipeFile) Close() linux.Errno {
 func (f *pipeFile) Poll() int16 { return f.pipe.Poll(f.readEnd) }
 
 // PollQueues implements event-driven poll readiness.
-func (f *pipeFile) PollQueues() []*waitq.Queue { return []*waitq.Queue{f.pipe.Queue()} }
+func (f *pipeFile) PollQueues(qs []*waitq.Queue) []*waitq.Queue {
+	return append(qs, f.pipe.Queue())
+}
 
 func (f *pipeFile) Ioctl(cmd uint32, arg []byte) (int32, linux.Errno) {
 	if cmd == linux.FIONREAD {
@@ -317,11 +319,11 @@ func (f *devFile) Poll() int16                     { return f.dev.Poll() }
 
 // PollQueues delegates to the device when it supports event-driven
 // readiness (the console); always-ready devices need no queues.
-func (f *devFile) PollQueues() []*waitq.Queue {
+func (f *devFile) PollQueues(qs []*waitq.Queue) []*waitq.Queue {
 	if pw, ok := f.dev.(pollWaitable); ok {
-		return pw.PollQueues()
+		return pw.PollQueues(qs)
 	}
-	return nil
+	return qs
 }
 func (f *devFile) Ioctl(cmd uint32, arg []byte) (int32, linux.Errno) {
 	return f.dev.Ioctl(cmd, arg)

@@ -3,10 +3,8 @@ package kernel
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"gowali/internal/kernel/vfs"
-	"gowali/internal/kernel/waitq"
 	"gowali/internal/linux"
 )
 
@@ -147,7 +145,7 @@ func (p *Process) Pread64(fd int32, b []byte, off int64) (int, linux.Errno) {
 	}
 	n, errno := f.Pread(b, off)
 	if errno == linux.EAGAIN && f.Flags()&linux.O_NONBLOCK == 0 {
-		errno = p.sleep(func() []*waitq.Queue { return fileQueues(f) }, time.Time{}, func() (e linux.Errno) {
+		errno = p.fileSleep(f, func() (e linux.Errno) {
 			n, e = f.Pread(b, off)
 			return e
 		})

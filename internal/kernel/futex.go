@@ -101,7 +101,7 @@ func (k *Kernel) FutexWait(space any, addr uint32, val uint32, load func() uint3
 	}
 	var errno linux.Errno
 	if p != nil {
-		errno = p.sleep(func() []*waitq.Queue { return []*waitq.Queue{&q.q} }, deadline, woken)
+		errno = p.sleep(func(qs []*waitq.Queue) []*waitq.Queue { return append(qs, &q.q) }, deadline, woken)
 	} else {
 		errno = q.q.Sleep(deadline, woken)
 	}

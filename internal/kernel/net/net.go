@@ -101,9 +101,9 @@ type Conn interface {
 	Close() linux.Errno
 	// Readiness returns poll bits for the connection.
 	Readiness() int16
-	// Queues returns every wait queue whose wakeup can change this
+	// Queues appends to qs every wait queue whose wakeup can change this
 	// connection's readiness (rx and tx sides).
-	Queues() []*waitq.Queue
+	Queues(qs []*waitq.Queue) []*waitq.Queue
 	// Buffered reports receive-queue bytes (FIONREAD).
 	Buffered() int
 	// SetOpt applies a socket option where the transport supports it

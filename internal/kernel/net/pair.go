@@ -113,8 +113,8 @@ func (c *pipeConn) Readiness() int16 {
 	return ev
 }
 
-func (c *pipeConn) Queues() []*waitq.Queue {
-	return []*waitq.Queue{c.rx.Queue(), c.tx.Queue()}
+func (c *pipeConn) Queues(qs []*waitq.Queue) []*waitq.Queue {
+	return append(qs, c.rx.Queue(), c.tx.Queue())
 }
 
 func (c *pipeConn) Buffered() int { return c.rx.Buffered() }

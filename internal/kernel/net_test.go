@@ -290,8 +290,9 @@ func TestSwitchCrossKernelExchange(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	// Server: accept every connection, echo until EOF. One goroutine
-	// per connection, like the WALI thread model.
+	// Server: accept every connection, echo until EOF. One thread (its
+	// own kernel task and goroutine) per connection, the WALI thread
+	// model: a task sleeps on its own goroutine only.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -302,7 +303,7 @@ func TestSwitchCrossKernelExchange(t *testing.T) {
 				return
 			}
 			wg.Add(1)
-			go func(fd int32) {
+			go func(server *Process, fd int32) {
 				defer wg.Done()
 				buf := make([]byte, 64)
 				for {
@@ -313,14 +314,14 @@ func TestSwitchCrossKernelExchange(t *testing.T) {
 					}
 					server.SendTo(fd, buf[:n], 0, nil)
 				}
-			}(cfd)
+			}(server.CloneThread(), cfd)
 		}
 	}()
 
 	dest := SockAddr{Family: linux.AF_INET, Port: 7000, Addr: [4]byte{10, 0, 0, 1}}
 	for c := 0; c < conns; c++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(client *Process, id int) {
 			defer wg.Done()
 			fd, errno := client.SocketSyscall(linux.AF_INET, linux.SOCK_STREAM, 0)
 			if errno != 0 {
@@ -353,7 +354,7 @@ func TestSwitchCrossKernelExchange(t *testing.T) {
 				}
 			}
 			client.Close(fd)
-		}(c)
+		}(client.CloneThread(), c)
 	}
 	wg.Wait()
 

@@ -105,6 +105,14 @@ type Process struct {
 	// at safepoints and by the sleep primitive.
 	quiesce atomic.Bool
 
+	// waiter is what the task parks on, armed on sig.pollQ from its first
+	// block until Exit; armed and epollOut are the sleep primitive's queue
+	// list and EpollWait's result buffer. All three belong to the task's
+	// own goroutine and are reused from one syscall to the next.
+	waiter   *waitq.Waiter
+	armed    []*waitq.Queue
+	epollOut []EpollEvent
+
 	// childQ is woken when one of this task's children changes state;
 	// Wait4 sleeps on it, so an exit wakes only the parent — not every
 	// waiter in the kernel.
@@ -259,6 +267,12 @@ func (p *Process) Exit(status int32) bool {
 	if p.alarmTimer != nil {
 		p.alarmTimer.Stop()
 	}
+	p.mu.Lock()
+	if p.waiter != nil {
+		p.sig.pollQ.Remove(p.waiter)
+		p.waiter = nil
+	}
+	p.mu.Unlock()
 
 	if !last {
 		// A non-final thread: remove from the table and vanish (joiners
@@ -359,7 +373,7 @@ func (p *Process) Wait4(pid int32, options int32) (int32, int32, linux.Rusage, l
 		rpid, status int32
 		ru           linux.Rusage
 	)
-	errno := p.sleep(func() []*waitq.Queue { return []*waitq.Queue{&p.childQ} }, time.Time{}, func() linux.Errno {
+	errno := p.sleep(func(qs []*waitq.Queue) []*waitq.Queue { return append(qs, &p.childQ) }, time.Time{}, func() linux.Errno {
 		for {
 			match, anyChild := p.findChild(pid)
 			switch {

@@ -736,15 +736,15 @@ func (s *Socket) Poll() int16 {
 
 // PollQueues implements the event-driven readiness hookup: every wait
 // queue whose wakeup can change this socket's Poll result.
-func (s *Socket) PollQueues() []*waitq.Queue {
+func (s *Socket) PollQueues(qs []*waitq.Queue) []*waitq.Queue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	qs := []*waitq.Queue{&s.stateQ}
+	qs = append(qs, &s.stateQ)
 	if s.ln != nil {
 		qs = append(qs, s.ln.Queue())
 	}
 	if s.conn != nil {
-		qs = append(qs, s.conn.Queues()...)
+		qs = s.conn.Queues(qs)
 	}
 	if s.dg != nil {
 		qs = append(qs, s.dg.Queue())

@@ -81,7 +81,13 @@ func (p *Pipe) read(b []byte) (int, linux.Errno) {
 		return 0, linux.EAGAIN
 	}
 	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
+	if n == len(p.buf) {
+		// Drained: rewind instead of keeping a zero-capacity tail, so a
+		// request/reply stream's next write reuses the array.
+		p.buf = p.buf[:0]
+	} else {
+		p.buf = p.buf[n:]
+	}
 	p.mu.Unlock()
 	p.q.Wake()
 	return n, 0

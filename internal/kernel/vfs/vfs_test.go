@@ -151,6 +151,26 @@ func TestPipeBlockingHandoff(t *testing.T) {
 	}
 }
 
+// TestPipeMessageCycleAllocatesNothing: a request/reply stream (write a
+// message, read it whole) reuses the pipe's array. A drained pipe used to
+// keep a zero-capacity tail, so every message went through growslice.
+func TestPipeMessageCycleAllocatesNothing(t *testing.T) {
+	p := NewPipe()
+	p.AddReader()
+	p.AddWriter()
+	msg, buf := make([]byte, 16), make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		if n, errno := p.Write(msg, true); n != len(msg) || errno != 0 {
+			t.Fatalf("write: %d %v", n, errno)
+		}
+		if n, errno := p.Read(buf, true); n != len(msg) || errno != 0 {
+			t.Fatalf("read: %d %v", n, errno)
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations per 16-byte write/read cycle, want 0", n)
+	}
+}
+
 func TestPipePollStates(t *testing.T) {
 	p := NewPipe()
 	p.AddReader()

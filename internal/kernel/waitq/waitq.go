@@ -16,6 +16,10 @@
 // kernel's guest sleep primitive (kernel.Process.sleep, which adds
 // signals, quiesce and run slots) and Queue.Sleep here, for goroutines
 // that are not guest tasks.
+//
+// A callback entry (NewCallback) does not park: it stays armed and every
+// Wake runs its function. epoll registrations use one to put themselves
+// on their instance's ready list.
 package waitq
 
 import (
@@ -30,11 +34,21 @@ import (
 // waking an already-woken waiter is a no-op, and a waiter re-checks
 // readiness after every receive, so collapsing wakeups is safe.
 type Waiter struct {
-	C chan struct{}
+	C  chan struct{}
+	fn func() // callback entry: run by Wake instead of a send on C
 }
 
 // NewWaiter returns a waiter ready to arm on queues.
 func NewWaiter() *Waiter { return &Waiter{C: make(chan struct{}, 1)} }
+
+// NewCallback returns an entry whose wakeup is a call of fn. fn runs
+// inside Wake, with the woken queue's lock held and possibly the lock of
+// the object the queue belongs to (some objects wake under their own
+// lock): it must not block, must not call back into that object (no
+// Poll, Read or Write) and must not Add to or Remove from the queue that
+// is waking it. It may take locks ordered after every file queue and may
+// Wake other queues under the same rule.
+func NewCallback(fn func()) *Waiter { return &Waiter{fn: fn} }
 
 // Clear drains a pending wakeup so the next block waits for a fresh
 // one. Call between readiness re-checks when reusing a waiter.
@@ -47,6 +61,10 @@ func (w *Waiter) Clear() {
 
 // wake delivers a (collapsing) wakeup.
 func (w *Waiter) wake() {
+	if w.fn != nil {
+		w.fn()
+		return
+	}
 	select {
 	case w.C <- struct{}{}:
 	default:
@@ -101,9 +119,14 @@ func (q *Queue) Remove(w *Waiter) {
 	q.mu.Unlock()
 }
 
+// Armed reports how many waiters are armed on q (diagnostics, and the
+// tests that check a closed epoll instance left nothing behind).
+func (q *Queue) Armed() int { return int(q.armed.Load()) }
+
 // Wake notifies every armed waiter that readiness may have changed.
 // Call after releasing the object's own lock where possible; calling
-// under it is also correct (waiters only re-check, never call back).
+// under it is also correct (parked waiters only re-check, and a callback
+// entry never calls back into the object: see NewCallback).
 func (q *Queue) Wake() {
 	if q.armed.Load() == 0 {
 		return

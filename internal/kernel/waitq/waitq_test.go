@@ -51,6 +51,31 @@ func TestRemoveStopsWakeups(t *testing.T) {
 	}
 }
 
+// A callback entry is run by every Wake of a queue it is armed on, beside
+// the parked waiters, until it is removed.
+func TestCallbackRunsOnEveryWake(t *testing.T) {
+	var q, other Queue
+	calls := 0
+	cb, w := NewCallback(func() { calls++; other.Wake() }), NewWaiter()
+	q.Add(cb)
+	q.Add(w)
+	q.Wake()
+	q.Wake()
+	if calls != 2 || q.Armed() != 2 {
+		t.Fatalf("calls = %d, armed = %d after two wakes; want 2 and 2", calls, q.Armed())
+	}
+	select {
+	case <-w.C:
+	default:
+		t.Fatal("the parked waiter beside a callback missed the wake")
+	}
+	q.Remove(cb)
+	q.Wake()
+	if calls != 2 || q.Armed() != 1 {
+		t.Fatalf("calls = %d, armed = %d after Remove; want 2 and 1", calls, q.Armed())
+	}
+}
+
 func TestOneWaiterManyQueues(t *testing.T) {
 	var a, b Queue
 	w := NewWaiter()

@@ -187,11 +187,19 @@ func (t *Tracer) Now() int64 {
 // Emit records one event. A zero TS is stamped here: end-of-event
 // call sites pass Dur only and get TS = now - Dur, so duration events
 // are anchored at their start like Chrome trace "X" events expect.
-// No-op (two branches) when the tracer is nil or disabled.
+// No-op (two branches) when the tracer is nil or disabled: the guard is
+// its own inlinable function because record stores &ev, which makes ev
+// escape — in one function Go would heap-allocate it at entry, before
+// the guard, on every disarmed call.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || !t.on.Load() {
 		return
 	}
+	t.record(ev)
+}
+
+// record is the armed half of Emit.
+func (t *Tracer) record(ev Event) {
 	if ev.TS == 0 {
 		ev.TS = t.Now() - ev.Dur
 	}
